@@ -1,16 +1,13 @@
 """solfree: exact computation with solution-free sets on Z/m and the circle.
 
-Subpackages and modules:
+Modules:
 
 - ``forms``     linear-form algebra (parsing, invariance, heights, weights)
 - ``cyclic``    sets/functions on Z/m: solution measures, DFT, U^2 norm
 - ``torus``     grid sets on the circle: exact measures, Eulerian weights
 - ``transfer``  spectrum regularization and Freiman-isomorphism transfer
 - ``rounding``  randomized rounding of [0,1] functions to sets
-- ``removal``   constructive removal to reach solution-free remainders
-- ``extremal``  maximal free densities and convergence experiments
-- ``kernels``   compiled/pure integer convolution kernels
-- ``cli``       command-line interface
+- ``kernels``   one exact integer cyclic convolution on numpy
 """
 
 from .forms import FormFamily, LinearForm, parse_form

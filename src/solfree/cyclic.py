@@ -255,9 +255,12 @@ def solution_measure_convolution(
 
 def dft(f: FunctionLike) -> CyclicSpectrum:
     """fhat(g) = (1/m) sum_x f(x) e(-g x / m)."""
-    func = _as_function(f)
-    coeffs = np.fft.fft(func.float_values()) / func.modulus
-    return CyclicSpectrum(func.modulus, coeffs)
+    if isinstance(f, CyclicSet):
+        # a set's Fraction values would cost more to build than the FFT
+        values = np.array(f.indicator(), dtype=float)
+    else:
+        values = _as_function(f).float_values()
+    return CyclicSpectrum(f.modulus, np.fft.fft(values) / f.modulus)
 
 
 def solution_measure_spectral(
@@ -293,12 +296,6 @@ def u2_norm_values(values: np.ndarray) -> float:
     """U^2 norm of an arbitrary real vector on Z/m (no [0,1] restriction)."""
     coeffs = np.fft.fft(np.asarray(values, dtype=float)) / len(values)
     return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
-
-
-def u2_norm_bruteforce(values: Sequence[float]) -> float:
-    """Quadruple-average U^2 norm, O(m^3); independent cross-check."""
-    power = kernels.u2_fourth_power(list(values))
-    return float(max(power, 0.0) ** 0.25)
 
 
 def dilate_set(A: CyclicSet, n: int) -> CyclicSet:

@@ -24,7 +24,9 @@ import numpy as np
 from .cyclic import (
     CyclicFunction,
     CyclicSet,
+    dft,
     solution_measure_convolution,
+    solution_measure_spectral,
     u2_norm_values,
 )
 from .errors import SolfreeError
@@ -134,10 +136,8 @@ def rounding_stability_report(
             raise SolfreeError(f"{form.coeffs} is not admissible mod {carrier}")
         if cyclic_case:
             if spectral:
-                t_f = _spectral_measure_floats(form, f.float_values())
-                t_a = _spectral_measure_floats(
-                    form, np.array(A.indicator(), dtype=float)
-                )
+                t_f = solution_measure_spectral(form, [dft(f)] * form.t).real
+                t_a = solution_measure_spectral(form, [dft(A)] * form.t).real
                 gap = abs(t_f - t_a)
             else:
                 t_f = solution_measure_convolution(form, [f] * form.t)
@@ -162,13 +162,3 @@ def rounding_stability_report(
             }
         )
     return StabilityReport(mean_gap=mean_gap, u2_distance=u2, per_form=per_form)
-
-
-def _spectral_measure_floats(form, values: np.ndarray) -> float:
-    m = len(values)
-    coeffs = np.fft.fft(values) / m
-    gammas = np.arange(m)
-    prod = np.ones(m, dtype=complex)
-    for c in form.coeffs:
-        prod *= coeffs[(c * gammas) % m]
-    return float(prod.sum().real)

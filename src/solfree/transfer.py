@@ -183,8 +183,9 @@ def find_iso_modp_to_int(p: int, frequencies, k: int) -> FreimanMap:
                 continue
             return phi
     raise SolfreeError(
-        f"no dilation puts {len(R)} frequencies inside (-p/2k, p/2k); "
-        f"p = {p} may be too small relative to (2k)^n = {(2 * k) ** len(R)}"
+        f"no dilation maps the frequency set R into (-p/2k, p/2k) as a Freiman "
+        f"isomorphism: |R| = {len(R)}, p = {p}, k = {k}; shrink R by lowering "
+        f"the multiplier height or max_support, or use a larger prime p"
     )
 
 

@@ -1,13 +1,10 @@
-"""Pure-Python reference kernels.
+"""Slow reference implementations that the fast paths are tested against.
 
-Arbitrary-precision and dependency-free; selected at import time when the
-compiled extension (and numpy) are unavailable, and used directly whenever
-exact big-integer arithmetic is required.
+Each is a direct transcription of its definition in pure Python, with no
+numpy and no bound-dependent branches.
 """
 
 from __future__ import annotations
-
-NAME = "pure"
 
 
 def convolve_cyclic(a, b):
@@ -56,3 +53,9 @@ def u2_fourth_power(values):
                 s += values[x] * values[xh] * values[xk] * values[xhk]
             total += s
     return total / m**3
+
+
+def u2_norm_bruteforce(values) -> float:
+    """Quadruple-average U^2 norm, O(m^3); independent cross-check."""
+    power = u2_fourth_power([float(v) for v in values])
+    return float(max(power, 0.0) ** 0.25)

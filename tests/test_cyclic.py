@@ -19,10 +19,11 @@ from solfree.cyclic import (
     solution_measure_convolution,
     solution_measure_spectral,
     u2_norm,
-    u2_norm_bruteforce,
 )
 from solfree.errors import SolfreeError
 from solfree.forms import LinearForm
+
+from oracles import u2_norm_bruteforce
 
 
 def full_enumeration_count(form, sets):

@@ -100,7 +100,8 @@ class TestFreimanMaps:
         assert not verify_freiman_isomorphism(phi, 2)
 
     def test_modp_error_when_too_small(self):
-        with pytest.raises(SolfreeError):
+        match = r"\|R\| = 7, p = 7, k = 3; .*height or max_support.*larger prime"
+        with pytest.raises(SolfreeError, match=match):
             find_iso_modp_to_int(7, {0, 1, 2, 3, 4, 5, 6}, 3)
 
     def test_int_to_modn(self):

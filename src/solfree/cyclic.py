@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from . import kernels
 from .errors import SolfreeError
 from .forms import FormFamily, LinearForm, as_family
 from .groups import validate_modulus
+
+
+def mask_bits(mask: int, size: int) -> np.ndarray:
+    """0/1 uint8 array whose entry x is bit x of `mask`, for x < size."""
+    raw = np.frombuffer(mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:size]
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class CyclicSet:
         return cls(modulus, 0)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.modulus) if self.mask >> x & 1)
+        return tuple(np.flatnonzero(mask_bits(self.mask, self.modulus)).tolist())
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> (x % self.modulus) & 1)
@@ -77,8 +83,7 @@ class CyclicSet:
         return Fraction(self.size, self.modulus)
 
     def indicator(self) -> list[int]:
-        m = self.modulus
-        return [self.mask >> x & 1 for x in range(m)]
+        return mask_bits(self.mask, self.modulus).tolist()
 
     def complement(self) -> "CyclicSet":
         return CyclicSet(self.modulus, ~self.mask & ((1 << self.modulus) - 1))
@@ -117,11 +122,11 @@ class CyclicFunction:
 
     def __post_init__(self):
         validate_modulus(self.modulus)
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.modulus:
             raise SolfreeError("value vector length must equal modulus")
-        if any(v < 0 or v > 1 for v in values):
+        if any(v.numerator < 0 or v.numerator > v.denominator for v in values):
             raise SolfreeError("values must lie in [0,1]")
 
     @classmethod
@@ -142,7 +147,7 @@ class CyclicFunction:
     def numerators(self) -> tuple[list[int], int]:
         """Common-denominator integer representation (numerators, D)."""
         den = math.lcm(*[v.denominator for v in self.values]) if self.values else 1
-        return [int(v * den) for v in self.values], den
+        return [v.numerator * (den // v.denominator) for v in self.values], den
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ class CyclicSpectrum:
             raise SolfreeError("coefficient vector length must equal modulus")
 
 
-FunctionLike = Union[CyclicSet, CyclicFunction]
+FunctionLike = CyclicSet | CyclicFunction
 
 
 def _as_function(item: FunctionLike) -> CyclicFunction:
@@ -224,7 +229,7 @@ def solution_measure_convolution(
     """Exact T_L via iterated cyclic convolution of dilated value vectors.
 
     Same value as :func:`solution_count_bruteforce`; accepts [0,1]-valued
-    functions as well as sets.  Cost O(t * m^2) in exact integer arithmetic.
+    functions as well as sets.  Cost O(t * m log m): exact FFT convolutions.
     """
     m = _check_items(form, items)
     t = form.t
@@ -257,7 +262,7 @@ def dft(f: FunctionLike) -> CyclicSpectrum:
     """fhat(g) = (1/m) sum_x f(x) e(-g x / m)."""
     if isinstance(f, CyclicSet):
         # a set's Fraction values would cost more to build than the FFT
-        values = np.array(f.indicator(), dtype=float)
+        values = mask_bits(f.mask, f.modulus).astype(float)
     else:
         values = _as_function(f).float_values()
     return CyclicSpectrum(f.modulus, np.fft.fft(values) / f.modulus)
@@ -304,7 +309,7 @@ def dilate_set(A: CyclicSet, n: int) -> CyclicSet:
 
 
 def is_free(
-    forms, A: Union[CyclicSet, Sequence[CyclicSet]], *, exclude_constant: bool = False
+    forms, A: CyclicSet | Sequence[CyclicSet], *, exclude_constant: bool = False
 ) -> tuple[bool, tuple | None]:
     """Decide whether no form in the family has a solution.
 

@@ -26,12 +26,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
-from .cyclic import CyclicSet, dilated_vector, solution_measure_convolution
+from .cyclic import CyclicSet, dilated_vector, mask_bits, solution_measure_convolution
 from .errors import ResolutionCapError, SolfreeError
 from .forms import FormFamily, LinearForm, as_family
 
@@ -99,7 +99,7 @@ class GridSet:
         return cls(resolution, 0)
 
     def cells(self) -> tuple[int, ...]:
-        return tuple(b for b in range(self.resolution) if self.mask >> b & 1)
+        return tuple(np.flatnonzero(mask_bits(self.mask, self.resolution)).tolist())
 
     def __contains__(self, x) -> bool:
         """Point membership for an exact rational x (mod 1)."""
@@ -116,7 +116,7 @@ class GridSet:
         return Fraction(self.size, self.resolution)
 
     def indicator(self) -> list[int]:
-        return [self.mask >> b & 1 for b in range(self.resolution)]
+        return mask_bits(self.mask, self.resolution).tolist()
 
     def union(self, other: "GridSet") -> "GridSet":
         a, b = common_resolution([self, other])
@@ -147,11 +147,11 @@ class GridFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.resolution:
             raise SolfreeError("value vector length must equal resolution")
-        if any(v < 0 or v > 1 for v in values):
+        if any(v.numerator < 0 or v.numerator > v.denominator for v in values):
             raise SolfreeError("values must lie in [0,1]")
 
     @classmethod
@@ -171,10 +171,10 @@ class GridFunction:
 
     def numerators(self) -> tuple[list[int], int]:
         den = math.lcm(*[v.denominator for v in self.values])
-        return [int(v * den) for v in self.values], den
+        return [v.numerator * (den // v.denominator) for v in self.values], den
 
 
-GridLike = Union[GridSet, GridFunction]
+GridLike = GridSet | GridFunction
 
 
 def refine(item: GridLike, factor: int):
@@ -188,9 +188,8 @@ def refine(item: GridLike, factor: int):
     if isinstance(item, GridSet):
         mask = 0
         block = (1 << factor) - 1
-        for b in range(n):
-            if item.mask >> b & 1:
-                mask |= block << (b * factor)
+        for b in item.cells():
+            mask |= block << (b * factor)
         return GridSet(n * factor, mask)
     values = []
     for v in item.values:

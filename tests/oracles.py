@@ -6,6 +6,8 @@ numpy and no bound-dependent branches.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 
 def convolve_cyclic(a, b):
     """Cyclic convolution of two equal-length integer sequences.
@@ -59,3 +61,22 @@ def u2_norm_bruteforce(values) -> float:
     """Quadruple-average U^2 norm, O(m^3); independent cross-check."""
     power = u2_fourth_power([float(v) for v in values])
     return float(max(power, 0.0) ** 0.25)
+
+
+def verify_freiman_isomorphism(phi, k=None):
+    """Freiman k-isomorphism check by enumerating every k-multiset of the
+    domain: equal source sums must have equal image sums and vice versa."""
+    k = k or phi.k
+    src_mod, dst_mod = phi.source_modulus, phi.target_modulus
+    seen = {}
+    image_seen = {}
+    for combo in combinations_with_replacement(sorted(phi.pairs), k):
+        s = sum(combo)
+        if src_mod is not None:
+            s %= src_mod
+        d = sum(phi.pairs[a] for a in combo)
+        if dst_mod is not None:
+            d %= dst_mod
+        if seen.setdefault(s, d) != d or image_seen.setdefault(d, s) != s:
+            return False
+    return True

@@ -22,6 +22,7 @@ from solfree.cyclic import (
 )
 from solfree.errors import SolfreeError
 from solfree.forms import LinearForm
+from solfree.torus import GridFunction, GridSet
 
 from oracles import u2_norm_bruteforce
 
@@ -271,3 +272,28 @@ class TestDilate:
             A = CyclicSet.from_members(m, [x for x in range(m) if rng.random() < 0.3])
             lam = rng.randrange(1, m)
             assert is_free(SUMFREE, A)[0] == is_free(SUMFREE, dilate_set(A, lam))[0]
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 64, 65, 1000])
+def test_set_bits_match_the_mask(size):
+    rng = random.Random(f"bits-{size}")
+    for mask in (0, (1 << size) - 1, rng.getrandbits(size), 1 << (size - 1)):
+        bits = [mask >> x & 1 for x in range(size)]
+        members = tuple(x for x in range(size) if bits[x])
+        A = CyclicSet(size, mask)
+        assert A.indicator() == bits and A.members() == members
+        G = GridSet(size, mask)
+        assert G.indicator() == bits and G.cells() == members
+
+
+@pytest.mark.parametrize("cls", [CyclicFunction, GridFunction])
+def test_function_values_are_exact(cls):
+    f = cls(4, [0, 1, 0.5, Fraction(2, 3)])
+    assert f.values == (0, 1, Fraction(1, 2), Fraction(2, 3))
+    assert all(type(v) is Fraction for v in f.values)
+    nums, den = f.numerators()
+    assert den == 6 and nums == [0, 6, 3, 4]
+    assert all(type(v) is int for v in nums)
+    for bad in (Fraction(-1, 3), Fraction(4, 3), -1, 2):
+        with pytest.raises(SolfreeError, match=r"\[0,1\]"):
+            cls(2, [Fraction(1, 2), bad])

@@ -1,6 +1,7 @@
 """Tests for spectrum regularization, Freiman maps and the transfer pipeline."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,8 @@ from solfree.transfer import (
     transfer_spectrum,
     verify_freiman_isomorphism,
 )
+
+from oracles import verify_freiman_isomorphism as oracle_verify
 
 SUMFREE = LinearForm((1, 1, -1))
 
@@ -98,6 +101,60 @@ class TestFreimanMaps:
         # x -> x mod 3 on {0,1,2} in Z collapses 2+2 = 4 with 1+0 = 1
         phi = FreimanMap({0: 0, 1: 1, 2: 2}, source_modulus=None, target_modulus=3, k=2)
         assert not verify_freiman_isomorphism(phi, 2)
+
+    def test_injectivity_broken_in_each_direction(self):
+        # 1 + 1 = 2 + 0 in the source, but 1 + 1 != 3 + 0 in the image
+        source_sums_collide = {0: 0, 1: 1, 2: 3}
+        # 1 + 1 = 2 + 0 in the image, but 1 + 1 != 3 + 0 in the source
+        image_sums_collide = {0: 0, 1: 1, 3: 2}
+        for pairs in (source_sums_collide, image_sums_collide):
+            phi = FreimanMap(pairs, source_modulus=None, target_modulus=None, k=2)
+            assert verify_freiman_isomorphism(phi, 1)
+            assert not verify_freiman_isomorphism(phi, 2)
+            assert not oracle_verify(phi, 2)
+        # distinct residues whose sources agree mod 7 already at level 1
+        phi = FreimanMap({0: 0, 1: 1, 8: 2}, source_modulus=7, target_modulus=None, k=1)
+        assert not verify_freiman_isomorphism(phi, 1) and not oracle_verify(phi, 1)
+
+    def test_matches_multiset_enumeration(self):
+        rng = random.Random(1109)
+        verdicts = []
+        for trial in range(400):
+            src_mod = rng.choice([None, 31, 101])
+            dst_mod = rng.choice([None, 29, 103])
+            k = rng.randint(1, 4)
+            size = rng.randint(1, 7)
+            domain = [0] + rng.sample(range(1, 30), size)
+            if trial % 2:
+                # a dilation, which is often an isomorphism on small domains
+                lam = rng.randint(1, 5)
+                images = [lam * a for a in domain]
+            else:
+                images = [0] + rng.sample(range(-40, 40), size)
+                if 0 in images[1:]:
+                    continue
+            phi = FreimanMap(
+                dict(zip(domain, images)), source_modulus=src_mod, target_modulus=dst_mod, k=k
+            )
+            expected = oracle_verify(phi, k)
+            assert verify_freiman_isomorphism(phi, k) == expected, phi
+            verdicts.append(expected)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
+    def test_values_beyond_int64(self):
+        big = 2**70
+        scaled = FreimanMap({0: 0, big: 1, 10 * big: 10}, None, None, k=3)
+        skewed = FreimanMap({0: 0, 1: big, 2: 2 * big + 1}, None, None, k=3)
+        for phi, expected in ((scaled, True), (skewed, False)):
+            assert verify_freiman_isomorphism(phi) is expected
+            assert oracle_verify(phi) is expected
+
+    def test_cap_bounds_the_sums_formed(self):
+        phi = find_iso_int_to_modn({0, 1, 3, 7, 12}, 3, 101)
+        # 5 sums at level 1, 5 * 5 at level 2, 15 distinct * 5 at level 3
+        assert verify_freiman_isomorphism(phi, 3, cap=5 + 25 + 75)
+        with pytest.raises(SolfreeError, match="more than 104 candidate sums"):
+            verify_freiman_isomorphism(phi, 3, cap=104)
 
     def test_modp_error_when_too_small(self):
         match = r"\|R\| = 7, p = 7, k = 3; .*height or max_support.*larger prime"

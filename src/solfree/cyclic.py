@@ -19,6 +19,7 @@ sum over frequencies whenever every gcd(c_i, m) = 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -113,8 +114,125 @@ class CyclicSet:
         return cls.from_members(int(data["m"]), data["members"])
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_FLOAT_EXACT = 2**53  # integers below this convert to float64 exactly
+
+
+def exact_floats(nums: np.ndarray, den: int) -> np.ndarray:
+    """float(Fraction(n, den)) for each n in `nums`, correctly rounded.
+
+    When every |n| and den are below 2^53 both convert to float64 exactly,
+    and IEEE division rounds their quotient correctly, as int / int does.
+    """
+    if den < _FLOAT_EXACT and nums.dtype != object:
+        if len(nums) == 0 or kernels.max_abs(nums) < _FLOAT_EXACT:
+            return nums / den
+    return np.array([n / den for n in nums.tolist()], dtype=float)
+
+
+def _fractions_of(nums: np.ndarray, den: int) -> tuple[Fraction, ...]:
+    """The Fractions n / den; the values 0 and 1 share one object each."""
+    if den == 1:
+        return tuple(_ONE if n else _ZERO for n in nums.tolist())
+    return tuple(
+        _ZERO if n == 0 else _ONE if n == den else Fraction(n, den) for n in nums.tolist()
+    )
+
+
+def _reduce_numerators(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """Divide numerators and denominator by their common gcd: the pair
+    (n_x / g, D / g) with D / g the lcm of the reduced denominators of n_x / D."""
+    g = math.gcd(den, int(np.gcd.reduce(nums))) if len(nums) else den
+    if g == 1:
+        nums = nums.copy()
+    else:
+        if g >= 2**63:  # then every numerator is 0, but int64 cannot divide by g
+            nums = nums.astype(object)
+        nums, den = nums // g, den // g
+    if nums.dtype == object and den < 2**63:
+        nums = nums.astype(np.int64)
+    nums.flags.writeable = False
+    return nums, den
+
+
+class _Numerated(tuple):
+    """The values tuple that `ExactValues.from_numerators` hands to the
+    constructor; `exact` holds their reduced (numerators, denominator)
+    pair, already checked against [0,1]."""
+
+
+class ExactValues:
+    """Values in [0,1] kept both as Fractions and as the reduced pair
+    (numerators, common denominator); shared by CyclicFunction and
+    GridFunction.
+
+    The pair is the one `numerators()` documents.  A function built by
+    `from_numerators` keeps it from the start; any other derives it from its
+    Fractions on first use.  `mean` and `float_values()` read it.
+    """
+
+    values: tuple[Fraction, ...]
+
+    def _init_values(self, size: int, size_name: str) -> None:
+        values, exact = self.values, None
+        if isinstance(values, _Numerated):
+            values, exact = tuple(values), values.exact
+        else:
+            values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_exact", exact)
+        if len(values) != size:
+            raise SolfreeError(f"value vector length must equal {size_name}")
+        if exact is None and any(v.numerator < 0 or v.numerator > v.denominator for v in values):
+            raise SolfreeError("values must lie in [0,1]")
+
+    @classmethod
+    def from_numerators(cls, size: int, nums, den: int):
+        """The function with values nums[x] / den, checked in numpy; cells at
+        0 and 1 share one Fraction each."""
+        nums = kernels.int_array(nums)
+        den = int(den)
+        if den < 1:
+            raise SolfreeError("denominator must be positive")
+        if len(nums) and (nums.min() < 0 or nums.max() > den):
+            raise SolfreeError("values must lie in [0,1]")
+        nums, den = _reduce_numerators(nums, den)
+        values = _Numerated(_fractions_of(nums, den))
+        values.exact = (nums, den)
+        return cls(size, values)
+
+    def numerator_array(self) -> tuple[np.ndarray, int]:
+        """(numerators, D) as in `numerators()`, the numerators as a read-only
+        int64 array, or as an object array of Python ints where they do not
+        fit in int64."""
+        if self._exact is None:
+            den = math.lcm(*[v.denominator for v in self.values]) if self.values else 1
+            nums = kernels.int_array([v.numerator * (den // v.denominator) for v in self.values])
+            nums.flags.writeable = False
+            object.__setattr__(self, "_exact", (nums, den))
+        return self._exact
+
+    def numerators(self) -> tuple[list[int], int]:
+        """Common-denominator integer representation (numerators, D): D is
+        the lcm of the reduced denominators of the values."""
+        nums, den = self.numerator_array()
+        return nums.tolist(), den
+
+    @property
+    def mean(self) -> Fraction:
+        nums, den = self.numerator_array()
+        if nums.dtype != object and den * len(nums) < 2**63:
+            total = int(nums.sum())
+        else:
+            total = sum(nums.tolist())
+        return Fraction(total, den * len(nums))
+
+    def float_values(self) -> np.ndarray:
+        return exact_floats(*self.numerator_array())
+
+
 @dataclass(frozen=True)
-class CyclicFunction:
+class CyclicFunction(ExactValues):
     """Function Z/m -> [0,1] stored as exact rationals."""
 
     modulus: int
@@ -122,12 +240,7 @@ class CyclicFunction:
 
     def __post_init__(self):
         validate_modulus(self.modulus)
-        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.modulus:
-            raise SolfreeError("value vector length must equal modulus")
-        if any(v.numerator < 0 or v.numerator > v.denominator for v in values):
-            raise SolfreeError("values must lie in [0,1]")
+        self._init_values(self.modulus, "modulus")
 
     @classmethod
     def constant(cls, modulus: int, value) -> "CyclicFunction":
@@ -135,19 +248,7 @@ class CyclicFunction:
 
     @classmethod
     def from_set(cls, A: CyclicSet) -> "CyclicFunction":
-        return cls(A.modulus, tuple(Fraction(b) for b in A.indicator()))
-
-    @property
-    def mean(self) -> Fraction:
-        return sum(self.values, Fraction(0)) / self.modulus
-
-    def float_values(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
-
-    def numerators(self) -> tuple[list[int], int]:
-        """Common-denominator integer representation (numerators, D)."""
-        den = math.lcm(*[v.denominator for v in self.values]) if self.values else 1
-        return [v.numerator * (den // v.denominator) for v in self.values], den
+        return cls.from_numerators(A.modulus, mask_bits(A.mask, A.modulus), 1)
 
 
 @dataclass(frozen=True)
@@ -214,48 +315,58 @@ def solution_count_bruteforce(form: LinearForm, sets: Sequence[CyclicSet]) -> Fr
     return Fraction(count, m ** (form.t - 1))
 
 
-def dilated_vector(values: Sequence[int], c: int, m: int) -> list[int]:
+def dilated_vector(values, c: int, m: int) -> list[int]:
     """u with u[(c*x) mod m] aggregated from values[x]."""
-    out = [0] * m
-    for x, v in enumerate(values):
-        if v:
-            out[(c * x) % m] += v
-    return out
+    x = kernels.int_array(values)
+    positions = np.arange(m) * (c % m) % m
+    if math.gcd(c, m) == 1:  # a permutation: nothing aggregates
+        out = np.empty_like(x)
+        out[positions] = x
+        return out.tolist()
+    if x.dtype != object and m and kernels.max_abs(x) * m >= 2**63:
+        x = x.astype(object)
+    out = np.zeros(m, dtype=x.dtype)
+    np.add.at(out, positions, x)
+    return out.tolist()
 
 
 def solution_measure_convolution(
     form: LinearForm, items: Sequence[FunctionLike]
 ) -> Fraction:
-    """Exact T_L via iterated cyclic convolution of dilated value vectors.
+    """Exact T_L via cyclic convolution of dilated value vectors.
 
     Same value as :func:`solution_count_bruteforce`; accepts [0,1]-valued
-    functions as well as sets.  Cost O(t * m log m): exact FFT convolutions.
+    functions as well as sets.  With u_i the vector of item i dilated by
+    c_i, the count is (u_1 * ... * u_t)(0) = sum_z L(z) R(-z), where L
+    convolves the first ceil(t/2) vectors and R the others.  So no
+    convolution has a convolution as an operand for t <= 4, and every
+    kernel operand is as narrow as one item's numerators.  Cost
+    O(t * m log m): t - 2 exact FFT convolutions and one dot product.
     """
     m = _check_items(form, items)
     t = form.t
-    vectors = []
+    dilated = []
     denominator = 1
-    for it in items:
+    for c, it in zip(form.coeffs, items):
         if isinstance(it, CyclicSet):
-            vectors.append(it.indicator())
+            vec = mask_bits(it.mask, m)
         else:
-            nums, den = _as_function(it).numerators()
-            vectors.append(nums)
+            vec, den = _as_function(it).numerator_array()
             denominator *= den
-    conv = None
-    for c, vec in zip(form.coeffs[:-1], vectors[:-1]):
-        dil = dilated_vector(vec, c, m)
-        conv = dil if conv is None else kernels.convolve_cyclic(conv, dil)
-    last_vec = vectors[-1]
-    inv = pow(form.coeffs[-1] % m, -1, m)
-    total = 0
-    for z, n_z in enumerate(conv):
-        if n_z:
-            x_t = (-z * inv) % m
-            v = last_vec[x_t]
-            if v:
-                total += n_z * v
+        dilated.append(dilated_vector(vec, c, m))
+    half = (t + 1) // 2
+    left = _convolve_all(dilated[:half])
+    right = _convolve_all(dilated[half:])
+    right = right[:1] + right[:0:-1]  # R(-z) at index z
+    total = sum(map(operator.mul, left, right))
     return Fraction(total, denominator * m ** (t - 1))
+
+
+def _convolve_all(vectors: list[list[int]]) -> list[int]:
+    conv = vectors[0]
+    for vec in vectors[1:]:
+        conv = kernels.convolve_cyclic(conv, vec)
+    return conv
 
 
 def dft(f: FunctionLike) -> CyclicSpectrum:

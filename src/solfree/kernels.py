@@ -53,9 +53,9 @@ def convolve_cyclic(a, b) -> list:
         raise ValueError("length mismatch")
     if n == 0:
         return []
-    x = _int_array(a)
-    y = x if b is a else _int_array(b)
-    amax, bmax = _max_abs(x), _max_abs(y)
+    x = int_array(a)
+    y = x if b is a else int_array(b)
+    amax, bmax = max_abs(x), max_abs(y)
     if amax == 0 or bmax == 0:
         return [0] * n
     size = n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
@@ -83,7 +83,7 @@ def convolve_cyclic(a, b) -> list:
     return out.tolist()
 
 
-def _int_array(values) -> np.ndarray:
+def int_array(values) -> np.ndarray:
     """`values` as an int64 array, or as an object array of Python ints when
     some do not fit in int64."""
     if isinstance(values, np.ndarray) and not np.can_cast(values.dtype, np.int64):
@@ -94,7 +94,7 @@ def _int_array(values) -> np.ndarray:
         return np.array([int(v) for v in values], dtype=object)
 
 
-def _max_abs(x: np.ndarray) -> int:
+def max_abs(x: np.ndarray) -> int:
     # in Python ints: -int64 min does not fit in int64
     return max(int(x.max()), -int(x.min()))
 

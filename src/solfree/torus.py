@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .cyclic import CyclicSet, dilated_vector, mask_bits, solution_measure_convolution
+from .cyclic import (
+    CyclicSet,
+    ExactValues,
+    dilated_vector,
+    mask_bits,
+    solution_measure_convolution,
+)
 from .errors import ResolutionCapError, SolfreeError
 from .forms import FormFamily, LinearForm, as_family
 
@@ -140,19 +147,14 @@ class GridSet:
 
 
 @dataclass(frozen=True)
-class GridFunction:
+class GridFunction(ExactValues):
     """Step function constant on the cells of a grid, values in [0,1]."""
 
     resolution: int
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.resolution:
-            raise SolfreeError("value vector length must equal resolution")
-        if any(v.numerator < 0 or v.numerator > v.denominator for v in values):
-            raise SolfreeError("values must lie in [0,1]")
+        self._init_values(self.resolution, "resolution")
 
     @classmethod
     def constant(cls, resolution: int, value) -> "GridFunction":
@@ -160,18 +162,7 @@ class GridFunction:
 
     @classmethod
     def from_set(cls, A: GridSet) -> "GridFunction":
-        return cls(A.resolution, tuple(Fraction(b) for b in A.indicator()))
-
-    @property
-    def mean(self) -> Fraction:
-        return sum(self.values, Fraction(0)) / self.resolution
-
-    def float_values(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
-
-    def numerators(self) -> tuple[list[int], int]:
-        den = math.lcm(*[v.denominator for v in self.values])
-        return [v.numerator * (den // v.denominator) for v in self.values], den
+        return cls.from_numerators(A.resolution, mask_bits(A.mask, A.resolution), 1)
 
 
 GridLike = GridSet | GridFunction
@@ -191,10 +182,8 @@ def refine(item: GridLike, factor: int):
         for b in item.cells():
             mask |= block << (b * factor)
         return GridSet(n * factor, mask)
-    values = []
-    for v in item.values:
-        values.extend([v] * factor)
-    return GridFunction(n * factor, tuple(values))
+    nums, den = item.numerator_array()
+    return GridFunction.from_numerators(n * factor, np.repeat(nums, factor), den)
 
 
 def common_resolution(items: Sequence[GridLike]) -> list:
@@ -350,19 +339,11 @@ def attainable_shifts(coeffs: Sequence[int]) -> list[int]:
 # Solution measures
 
 
-def _grid_vectors(items: Sequence[GridLike]):
-    """Integer vectors and per-item denominators at a common resolution."""
-    refined = common_resolution(items)
-    vectors, dens = [], []
-    for it in refined:
-        if isinstance(it, GridSet):
-            vectors.append(it.indicator())
-            dens.append(1)
-        else:
-            nums, den = it.numerators()
-            vectors.append(nums)
-            dens.append(den)
-    return refined[0].resolution, vectors, dens
+def _integer_vector(item: GridLike) -> tuple[np.ndarray, int]:
+    """(numerators, denominator) of a step function; a set's indicator over 1."""
+    if isinstance(item, GridSet):
+        return mask_bits(item.mask, item.resolution).astype(np.int64), 1
+    return item.numerator_array()
 
 
 def solution_measure_grid(form: LinearForm, items: Sequence[GridLike]) -> Fraction:
@@ -373,45 +354,37 @@ def solution_measure_grid(form: LinearForm, items: Sequence[GridLike]) -> Fracti
     convolution counts of the dilation preimages B_i = (c_t)^{-1} A_i at a
     common resolution, decomposed by the integer part of sum d_i v_i
     (d_i = -c_i) on the unit box, whose level volumes are the generalized
-    Eulerian weights.
+    Eulerian weights.  Every item is handled as its integer vector
+    (indicator, or numerators over one denominator), refined and pulled
+    back in numpy as :func:`refine` and :func:`dilation_preimage` do.
     """
     if len(items) != form.t:
         raise SolfreeError(f"form has {form.t} variables but {len(items)} inputs given")
     c_t = form.coeffs[-1]
-    refined = common_resolution(items)
-    front = []
-    for it in refined[:-1]:
-        if isinstance(it, GridSet):
-            front.append(dilation_preimage(it, c_t))
-        else:
-            # preimage of a step function: values pulled back cellwise
-            n = it.resolution
-            d = abs(c_t)
-            _check_resolution(n * d)
-            src = it.values
-            if c_t > 0:
-                vals = [src[b % n] for b in range(n * d)]
-            else:
-                vals = [src[(n - 1 - b % n) % n] for b in range(n * d)]
-            front.append(GridFunction(n * d, tuple(vals)))
-    last = refine(refined[-1], abs(c_t))
-    n_prime, vectors, dens = _grid_vectors(front + [last])
+    n = math.lcm(*[it.resolution for it in items])
+    _check_resolution(n)
+    d = abs(c_t)
+    n_prime = _check_resolution(n * d)
+    vectors, dens = [], []
+    for it in items:
+        vec, den = _integer_vector(it)
+        vectors.append(np.repeat(vec, n // it.resolution))
+        dens.append(den)
+    # preimages under x -> c_t x: cell b pulls back from cell b mod n, or
+    # from its reflection n - 1 - (b mod n) when c_t < 0
+    front = [np.tile(vec if c_t > 0 else vec[::-1], d) for vec in vectors[:-1]]
+    last = np.repeat(vectors[-1], d)
     t = form.t
     d_coeffs = tuple(-c for c in form.coeffs[:-1])
     conv = None
-    for d_i, vec in zip(d_coeffs, vectors[:-1]):
+    for d_i, vec in zip(d_coeffs, front):
         dil = dilated_vector(vec, d_i, n_prime)
         conv = dil if conv is None else kernels.convolve_cyclic(conv, dil)
     table = eulerian_weight_table(d_coeffs)
-    last_vec = vectors[-1]
     total = Fraction(0)
     for w, weight in table.weights.items():
-        shifted = 0
-        for y, n_y in enumerate(conv):
-            if n_y:
-                v = last_vec[(y + w) % n_prime]
-                if v:
-                    shifted += n_y * v
+        # sum_y conv[y] * last[(y + w) mod n']
+        shifted = sum(map(operator.mul, conv, np.roll(last, -w).tolist()))
         if shifted:
             total += weight * shifted
     denominator = math.prod(dens) * Fraction(n_prime) ** (t - 1)

@@ -19,9 +19,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import kernels
 from .cyclic import (
     CyclicFunction,
     dft,
+    exact_floats,
     solution_measure_convolution,
 )
 from .errors import SolfreeError
@@ -126,21 +128,34 @@ class FreimanMap:
 def verify_freiman_isomorphism(
     phi: FreimanMap, k: Optional[int] = None, cap: int = 10_000_000
 ) -> bool:
-    """Exhaustively check that sums of k domain elements agree iff the
-    corresponding image sums agree.
+    """Check that sums of k domain elements agree iff the corresponding
+    image sums agree.
 
-    The pairs (sum of sources, sum of images) over all k-multisets form the
-    k-fold sumset of the graph {(a, phi(a))}, and phi is a Freiman
-    k-isomorphism iff that relation is a bijection.  Since phi(0) = 0, the
-    j-fold sumset lies inside the (j+1)-fold one, so the relation must be a
-    bijection at every level j <= k as well.  The sumset is built level by
-    level, keeping each distinct source sum with its single image; the check
-    ends at the first level that is not a bijection.
+    Unit multiples.  When one side of phi is an integer set A and the other
+    is Z/M, and phi(a) = mu * a (mod M) for one unit mu of Z/M (reduction
+    mod N, and a dilation followed by a centred lift mod p, are both of this
+    form), phi is a Freiman k-isomorphism iff no nonzero multiple of M lies
+    in kA - kA.  Proof: a -> mu * a (mod M) is additive, so equal sums over
+    A stay equal; two k-fold sums x, y over A have equal images iff
+    mu (x - y) = 0 (mod M) iff M divides x - y, as mu is a unit.  So the
+    check is that distinct elements of kA are distinct mod M, which holds
+    when k * span(A) < M.  Both pipeline searches keep k * span(A) below M,
+    so their maps are accepted in O(|A|); a unit multiple wider than that is
+    enumerated as below.
 
-    The candidate sums formed, counted over all levels, must stay below
-    `cap`.
+    Other maps.  The pairs (sum of sources, sum of images) over all
+    k-multisets form the k-fold sumset of the graph {(a, phi(a))}, and phi is
+    a Freiman k-isomorphism iff that relation is a bijection.  Since
+    phi(0) = 0, the j-fold sumset lies inside the (j+1)-fold one, so the
+    relation must be a bijection at every level j <= k as well.  The sumset
+    is built level by level, keeping each distinct source sum with its
+    single image; the check ends at the first level that is not a
+    bijection.  The candidate sums formed, counted over all levels, must
+    stay below `cap`.
     """
     k = k or phi.k
+    if _is_narrow_unit_multiple(phi, k):
+        return True
     src_mod, dst_mod = phi.source_modulus, phi.target_modulus
     widest = max(abs(v) for pair in phi.pairs.items() for v in pair)
     dtype = np.int64 if k * widest < 2**62 else object
@@ -164,6 +179,27 @@ def verify_freiman_isomorphism(
         if level is None:
             return False
     return True
+
+
+def _is_narrow_unit_multiple(phi: FreimanMap, k: int) -> bool:
+    """Whether phi is a unit multiple between an integer set A and Z/M with
+    k * span(A) < M.  O(|A|): the multiplier is read off one element prime
+    to M."""
+    if phi.source_modulus is None and phi.target_modulus is not None:
+        modulus, ints, residues = phi.target_modulus, list(phi.pairs), list(phi.pairs.values())
+    elif phi.source_modulus is not None and phi.target_modulus is None:
+        modulus, ints, residues = phi.source_modulus, list(phi.pairs.values()), list(phi.pairs)
+    else:
+        return False
+    if k * (max(ints) - min(ints)) >= modulus:
+        return False
+    pivot = next((i for i, a in enumerate(ints) if math.gcd(a, modulus) == 1), None)
+    if pivot is None:
+        return False
+    mu = residues[pivot] * pow(ints[pivot], -1, modulus) % modulus
+    return math.gcd(mu, modulus) == 1 and not any(
+        (b - mu * a) % modulus for a, b in zip(ints, residues)
+    )
 
 
 def _bijection_graph(sources: np.ndarray, images: np.ndarray):
@@ -242,15 +278,19 @@ def build_product_set(frequencies, h: int, modulus: Optional[int] = None):
     """h-fold sumset R + R + ... + R in the (additively written) dual."""
     if h < 1:
         raise SolfreeError("h must be >= 1")
-    R = sorted(set(frequencies))
-    result = set(R)
+    R = kernels.int_array(sorted(set(frequencies)))
+    if R.dtype != object and len(R) and kernels.max_abs(R) * h >= 2**63:
+        R = R.astype(object)
+    result = R
     for _ in range(h - 1):
-        result = {
-            (a + b) % modulus if modulus is not None else a + b
-            for a in result
-            for b in R
-        }
-    return sorted(result)
+        sums = np.add.outer(result, R).ravel()
+        if modulus is not None:
+            sums %= modulus
+        sums = np.sort(sums)
+        distinct = np.ones(len(sums), dtype=bool)
+        distinct[1:] = sums[1:] != sums[:-1]
+        result = sums[distinct]
+    return result.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +313,35 @@ class RegularizeReport:
         }
 
 
-def _select_support(mags: dict[int, float], threshold: float, max_support: int):
+def _select_support(
+    positive: np.ndarray, mags: np.ndarray, paired: np.ndarray, threshold: float, max_support: int
+) -> list[int]:
     """Frequencies with magnitude >= threshold, in symmetric pairs, capped
-    at max_support; 0 always kept.  Deterministic: pairs ordered by
-    (-magnitude, frequency value)."""
+    at max_support; 0 always kept.
+
+    `positive` holds the frequencies g > 0 with their magnitudes `mags`;
+    `paired[i]` says whether -positive[i] is a frequency too.  Deterministic:
+    pairs are taken greedily in the order (-magnitude, frequency value), and
+    one that does not fit is skipped.  Returns [0, g1, -g1, g2, -g2, ...] in
+    that order.
+    """
     if max_support < 1:
         raise SolfreeError("support cap must allow at least the mean")
-    reps = sorted(
-        (g for g in mags if g > 0),
-        key=lambda g: (-mags[g], g),
-    )
+    order = np.lexsort((positive, -mags))
+    order = order[mags[order] >= threshold]
+    cum = np.cumsum(np.where(paired[order], 2, 1))
+    fits = int(np.searchsorted(cum, max_support - 1, side="right"))
+    taken = order[:fits].tolist()
+    room = max_support - 1 - (int(cum[fits - 1]) if fits else 0)
+    if room == 1:
+        # a pair did not fit and cannot later: only an unpaired frequency can
+        rest = order[fits:]
+        taken += rest[~paired[rest]][:1].tolist()
     chosen = [0]
-    for g in reps:
-        if mags[g] < threshold:
-            continue
-        pair = 2 if mags.get(-g) is not None and g != -g else 1
-        if len(chosen) + pair > max_support:
-            continue
+    for i in taken:
+        g = int(positive[i])
         chosen.append(g)
-        if pair == 2:
+        if paired[i]:
             chosen.append(-g)
     return chosen
 
@@ -314,15 +364,20 @@ def regularize(
     if isinstance(f, CyclicFunction):
         m = f.modulus
         spec = dft(f).coefficients
-        all_freqs = {centered_lift(g, m): complex(spec[g]) for g in range(m)}
-        mags = {g: abs(c) for g, c in all_freqs.items()}
-        chosen = _select_support(mags, threshold, min(max_support, m))
-        coeffs = {g % m: all_freqs[g] for g in chosen}
-        dropped_sq = sum(
-            mags[g] ** 2 for g in all_freqs if g not in set(chosen)
+        # np.hypot, like abs() of a Python complex, is the C library's hypot
+        mags = np.hypot(spec.real, spec.imag)
+        positive = np.arange(1, m // 2 + 1)  # frequencies lifted into (-m/2, m/2]
+        chosen = _select_support(
+            positive, mags[positive], 2 * positive < m, threshold, min(max_support, m)
         )
-        coeffs[0] = complex(float(f.mean))
-        fprime = SpectralFunction(m, coeffs, f.mean)
+        residues = [g % m for g in chosen]
+        coeffs = {r: complex(spec[r]) for r in residues}
+        dropped = np.ones(m, dtype=bool)
+        dropped[residues] = False
+        dropped_sq = float(np.sum(mags[dropped] ** 2))
+        mean = f.mean
+        coeffs[0] = complex(float(mean))
+        fprime = SpectralFunction(m, coeffs, mean)
     elif isinstance(f, (GridFunction, GridSet)):
         if isinstance(f, GridSet):
             f = GridFunction.from_set(f)
@@ -334,10 +389,12 @@ def regularize(
             cutoff = max(n, max_support)
         ks = np.arange(-cutoff, cutoff + 1)
         vals = grid_fourier_coefficients(f, ks)
-        mags = {int(k): float(abs(v)) for k, v in zip(ks, vals)}
-        coefmap = {int(k): complex(v) for k, v in zip(ks, vals)}
-        chosen = _select_support(mags, threshold, max_support)
-        coeffs = {g: coefmap[g] for g in chosen}
+        positive = ks[cutoff + 1 :]
+        mags = np.hypot(vals.real, vals.imag)[cutoff + 1 :]
+        chosen = _select_support(
+            positive, mags, np.ones(cutoff, dtype=bool), threshold, max_support
+        )
+        coeffs = {g: complex(vals[g + cutoff]) for g in chosen}
         # Parseval over the circle: sum_k |fhat(k)|^2 = mean of f^2 exactly
         total_sq = float(np.mean(f.float_values() ** 2))
         kept_sq = sum(abs(c) ** 2 for c in coeffs.values())
@@ -473,17 +530,18 @@ class RangeReport:
         }
 
 
-def _clip01(v: Fraction) -> Fraction:
-    if v < 0:
-        return Fraction(0)
-    if v > 1:
-        return Fraction(1)
-    return v
-
-
 def quantize_values(values, denominator: int) -> list[Fraction]:
     """Round floats to the rational grid with the given denominator."""
     return [Fraction(round(float(v) * denominator), denominator) for v in values]
+
+
+def _quantized_numerators(raw: np.ndarray, denominator: int) -> np.ndarray:
+    """The numerators of :func:`quantize_values` over `denominator`: np.rint,
+    like round(), rounds half to even."""
+    scaled = np.rint(np.asarray(raw, dtype=float) * denominator)
+    if len(scaled) and np.max(np.abs(scaled)) < 2**62:
+        return scaled.astype(np.int64)
+    return np.array([int(x) for x in scaled], dtype=object)
 
 
 def range_correct(
@@ -501,10 +559,31 @@ def range_correct(
     region is exhausted.
 
     `g` may be a SpectralFunction (sampled first: at cell midpoints for a
-    circle spectrum with `sample_resolution`, at residues for Z/p), or a
-    CyclicFunction/GridFunction with exact values.  Returns (function,
-    report); the output mean equals `target_mean` (default: the input mean)
-    exactly.
+    circle spectrum with `sample_resolution`, at residues for Z/p, and
+    quantized to `denominator`), or a CyclicFunction/GridFunction with exact
+    values.  Returns (function, report); the output mean equals
+    `target_mean` (default: the input mean) exactly.
+
+    The rounds are not run cell by cell but replayed on integer numerators
+    a_x / D, with the sort-and-prefix-sum idiom of Duchi et al., "Efficient
+    projections onto the l1-ball", ICML 2008.  The replay is exact, with the
+    same rounds, iteration count and values as the cell-by-cell loop
+    (kept as the test oracle), for three reasons:
+
+    - each round adds one common amount to every cell of the slack region,
+      so its cells keep their order and reach the bound in order of their
+      room; after shifts summing to s, the cells with room <= s * D sit at
+      the bound and the others moved by s, and one binary search on the
+      sorted rooms with their prefix sums gives the new total;
+    - the missing mass keeps its sign: a round that clips no cell restores
+      the mean, and one that clips some leaves mass of the same sign, so
+      the slack region only shrinks;
+    - when the slack region is exhausted, the cells drawn in instead all
+      sit at the far bound, so they form one group of equal values, which
+      one round completes.
+
+    Only scalars are Fractions.  Each per-cell difference in the report is
+    one exact integer ratio, rounded once, as float() of a Fraction is.
     """
     if isinstance(g, SpectralFunction):
         if target_mean is None:
@@ -513,71 +592,101 @@ def range_correct(
             if sample_resolution is None:
                 raise SolfreeError("sample_resolution required for circle spectra")
             raw, _ = synthesize_grid(g, sample_resolution)
-            values = quantize_values(raw, denominator)
-            carrier = ("grid", sample_resolution)
+            out_type = GridFunction
         else:
             raw = synthesize_cyclic(g)
-            values = quantize_values(raw, denominator)
-            carrier = ("cyclic", g.carrier)
-    elif isinstance(g, CyclicFunction):
-        values = list(g.values)
-        carrier = ("cyclic", g.modulus)
-    elif isinstance(g, GridFunction):
-        values = list(g.values)
-        carrier = ("grid", g.resolution)
+            out_type = CyclicFunction
+        nums, den = _quantized_numerators(raw, denominator), denominator
+    elif isinstance(g, (CyclicFunction, GridFunction)):
+        nums, den = g.numerator_array()
+        out_type = type(g)
+        if target_mean is None:
+            target_mean = g.mean
     else:
         raise SolfreeError(f"cannot range-correct {type(g)!r}")
 
-    n = len(values)
-    if target_mean is None:
-        target_mean = sum(values, Fraction(0)) / n
     target_mean = Fraction(target_mean)
     if target_mean < 0 or target_mean > 1:
         raise SolfreeError(f"mean {target_mean} outside [0,1]")
-
-    original = [Fraction(v) for v in values]
-    vals = [_clip01(v) for v in original]
-    clipped_mass = sum(abs(a - b) for a, b in zip(original, vals))
-    target_total = target_mean * n
-    iterations = 0
-    while True:
-        delta = target_total - sum(vals, Fraction(0))
-        if delta == 0:
-            break
-        iterations += 1
-        if iterations > n + 2:
-            raise AssertionError("range correction failed to converge")
-        if delta > 0:
-            slack = [i for i, v in enumerate(vals) if 0 < v < 1]
-            if not slack:
-                slack = [i for i, v in enumerate(vals) if v < 1]
-        else:
-            slack = [i for i, v in enumerate(vals) if 0 < v < 1]
-            if not slack:
-                slack = [i for i, v in enumerate(vals) if v > 0]
-        if not slack:
-            raise SolfreeError("no room to restore the mean")
-        add = delta / len(slack)
-        for i in slack:
-            vals[i] = _clip01(vals[i] + add)
-
-    diffs = [float(a - b) for a, b in zip(original, vals)]
+    n = len(nums)
+    out_nums, out_den, iterations, diffs, clipped = _water_fill(nums, den, target_mean * n)
     report = RangeReport(
-        l2_distance=float(np.sqrt(np.mean(np.array(diffs) ** 2))),
-        linf_distance=max((abs(d) for d in diffs), default=0.0),
+        l2_distance=float(np.sqrt(np.mean(diffs**2))),
+        linf_distance=float(np.max(np.abs(diffs))),
         iterations=iterations,
-        clipped_mass=float(clipped_mass),
+        clipped_mass=clipped,
     )
-    if carrier[0] == "cyclic":
-        out = CyclicFunction(carrier[1], tuple(vals))
-    else:
-        out = GridFunction(carrier[1], tuple(vals))
+    out = out_type.from_numerators(n, out_nums, out_den)
     if forms is not None:
         for form in as_family(forms):
             report.per_form.append(
                 {"form": form.to_json(), "T_corrected": float(_exact_measure(out, form))}
             )
     return out, report
+
+
+def _water_fill(a: np.ndarray, den: int, target_total: Fraction):
+    """Replay the clip-and-spread rounds of :func:`range_correct` on the
+    values a_x / den, for the total `target_total`.
+
+    Returns (numerators, denominator) of the result, the iteration count,
+    the differences input minus result as floats, and the clipped mass.
+    """
+    n = len(a)
+    if a.dtype != object and max(den, kernels.max_abs(a)) * (n + 1) >= 2**62:
+        a = a.astype(object)  # so that every sum below stays exact
+    c = np.minimum(np.maximum(a, 0), den)
+    clipped = a - c
+    clipped_mass = int(np.sum(np.abs(clipped))) / den
+    interior = np.flatnonzero((c > 0) & (c < den))
+    missing = target_total - Fraction(int(c.sum()), den)
+    sign = 1 if missing > 0 else -1
+    missing = abs(missing)
+    room = den - c[interior] if sign > 0 else c[interior]
+    order = np.argsort(room, kind="stable")
+    room = room[order]
+    prefix = np.concatenate((np.zeros(1, dtype=room.dtype), np.cumsum(room)))
+    # after shifts summing to s, cells with room <= s * den sit at the bound
+    # (the first `at_bound` in order) and the others moved by s
+    shift, at_bound, iterations = Fraction(0), 0, 0
+    fallback = None
+    while True:
+        left = missing - Fraction(int(prefix[at_bound]), den) - (len(room) - at_bound) * shift
+        if left == 0:
+            break
+        iterations += 1
+        if at_bound == len(room):
+            # slack exhausted: the cells at the far bound form one equal group
+            group = np.flatnonzero(c == (0 if sign > 0 else den))
+            if len(group) == 0 or left > len(group):
+                raise SolfreeError("no room to restore the mean")
+            fallback = (group, left / len(group))
+            break
+        shift += left / (len(room) - at_bound)
+        reach = min(shift.numerator * den // shift.denominator, den)
+        at_bound = int(np.searchsorted(room, reach, side="right"))
+
+    extra = fallback[1] if fallback else shift  # the one non-integer amount
+    q = extra.denominator
+    if c.dtype != object and den * q * (n + 1) >= 2**62:
+        c, a = c.astype(object), a.astype(object)
+    bound = den if sign > 0 else 0
+    saturated = interior[order[:at_bound]]
+    out = c * q
+    out[saturated] = bound * q
+    diff_nums = clipped.copy()
+    diff_nums[saturated] = c[saturated] - bound
+    diffs = exact_floats(diff_nums, den)
+    if fallback:
+        group = fallback[0]
+        moved = extra if sign > 0 else 1 - extra
+        out[group] = moved.numerator * den
+        diffs[group] = exact_floats(a[group] * q - moved.numerator * den, den * q)
+    else:
+        moving = interior[order[at_bound:]]
+        out[moving] += sign * extra.numerator * den
+        diffs[moving] = -sign * extra.numerator / q
+    return out, den * q, iterations, diffs, clipped_mass
 
 
 # ---------------------------------------------------------------------------

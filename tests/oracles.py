@@ -6,7 +6,8 @@ numpy and no bound-dependent branches.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 
 def convolve_cyclic(a, b):
@@ -80,3 +81,59 @@ def verify_freiman_isomorphism(phi, k=None):
         if seen.setdefault(s, d) != d or image_seen.setdefault(d, s) != s:
             return False
     return True
+
+
+def _clip01(v):
+    if v < 0:
+        return Fraction(0)
+    if v > 1:
+        return Fraction(1)
+    return v
+
+
+def water_fill_loop(values, target_total):
+    """Range correction cell by cell in Fractions: clip to [0,1], then spread
+    the missing (or excess) mass over the cells strictly inside (0,1), or
+    over every cell not at the bound it moves toward when there is none,
+    re-clip, and repeat until the total is `target_total`.
+
+    Returns (values, iterations, clipped mass, differences input minus
+    output as floats).  Raises ValueError when no cell can move.
+    """
+    original = [Fraction(v) for v in values]
+    vals = [_clip01(v) for v in original]
+    clipped_mass = sum((abs(a - b) for a, b in zip(original, vals)), Fraction(0))
+    iterations = 0
+    while True:
+        delta = target_total - sum(vals, Fraction(0))
+        if delta == 0:
+            break
+        iterations += 1
+        if delta > 0:
+            slack = [i for i, v in enumerate(vals) if 0 < v < 1]
+            if not slack:
+                slack = [i for i, v in enumerate(vals) if v < 1]
+        else:
+            slack = [i for i, v in enumerate(vals) if 0 < v < 1]
+            if not slack:
+                slack = [i for i, v in enumerate(vals) if v > 0]
+        if not slack:
+            raise ValueError("no room to restore the mean")
+        add = delta / len(slack)
+        for i in slack:
+            vals[i] = _clip01(vals[i] + add)
+    diffs = [float(a - b) for a, b in zip(original, vals)]
+    return vals, iterations, clipped_mass, diffs
+
+
+def solution_measure(coeffs, value_lists, m):
+    """sum over all (x_1..x_t) in (Z/m)^t with sum c_i x_i = 0 of
+    prod f_i(x_i), over m^(t-1): the solution measure of exact values."""
+    total = Fraction(0)
+    for xs in product(range(m), repeat=len(coeffs)):
+        if sum(c * x for c, x in zip(coeffs, xs)) % m == 0:
+            term = Fraction(1)
+            for values, x in zip(value_lists, xs):
+                term *= values[x]
+            total += term
+    return total / m ** (len(coeffs) - 1)

@@ -24,7 +24,7 @@ from solfree.errors import SolfreeError
 from solfree.forms import LinearForm
 from solfree.torus import GridFunction, GridSet
 
-from oracles import u2_norm_bruteforce
+from oracles import solution_measure, u2_norm_bruteforce
 
 
 def full_enumeration_count(form, sets):
@@ -111,6 +111,63 @@ class TestConvolutionMeasure:
         for x, y in product(range(m), repeat=2):
             total += g.values[x] * g.values[y] * g.values[(x + y) % m]
         assert sets_value == total / m**2
+
+
+@pytest.mark.parametrize(
+    "coeffs, m",
+    [((1, 1, -1), 11), ((2, 3, -2, -3), 11), ((1, 2, 1, -3, -1), 7), ((3, 1, -4), 9)],
+)
+def test_measure_of_wide_functions(coeffs, m):
+    """Values over 40-bit denominators: u_1 * u_2 already passes 2^63."""
+    rng = random.Random(len(coeffs) * m)
+    functions = []
+    for _ in coeffs:
+        den = rng.randrange(2**39, 2**40)
+        functions.append(
+            CyclicFunction(m, tuple(Fraction(rng.randrange(den + 1), den) for _ in range(m)))
+        )
+    nums, den = functions[0].numerators()
+    assert m * max(nums) ** 2 >= 2**63
+    form = LinearForm(coeffs)
+    expected = solution_measure(coeffs, [f.values for f in functions], m)
+    assert solution_measure_convolution(form, functions) == expected
+
+
+class TestFromNumerators:
+    @pytest.mark.parametrize("cls", [CyclicFunction, GridFunction])
+    def test_same_function_as_from_values(self, cls):
+        rng = random.Random(5)
+        for den in (1, 6, 2**20, 2**70 + 1):
+            nums = [rng.randrange(den + 1) for _ in range(9)] + [0, den]
+            f = cls.from_numerators(len(nums), nums, den)
+            g = cls(len(nums), tuple(Fraction(a, den) for a in nums))
+            assert f == g
+            assert f.numerators() == g.numerators()
+            assert f.mean == g.mean
+            assert f.float_values().tolist() == [float(v) for v in g.values]
+            assert np.array_equal(f.float_values(), g.float_values())
+
+    def test_shares_zero_and_one(self):
+        f = CyclicFunction.from_numerators(4, [0, 3, 3, 0], 3)
+        assert f.values[0] is f.values[3] and f.values[1] is f.values[2]
+        assert f.numerators() == ([0, 1, 1, 0], 1)
+
+    def test_checks_in_numpy(self):
+        with pytest.raises(SolfreeError, match=r"\[0,1\]"):
+            CyclicFunction.from_numerators(2, [1, 4], 3)
+        with pytest.raises(SolfreeError, match=r"\[0,1\]"):
+            CyclicFunction.from_numerators(2, [-1, 0], 3)
+        with pytest.raises(SolfreeError, match="length"):
+            CyclicFunction.from_numerators(3, [1, 2], 3)
+        with pytest.raises(SolfreeError, match="denominator"):
+            CyclicFunction.from_numerators(1, [0], 0)
+
+    def test_float_values_past_2_53(self):
+        # numerators past 2^53 divide as Python ints, still correctly rounded
+        den = 2**60 + 1
+        nums = [den // 3, den - 1, 1]
+        f = CyclicFunction.from_numerators(3, nums, den)
+        assert f.float_values().tolist() == [a / den for a in nums]
 
 
 class TestDft:

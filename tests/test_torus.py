@@ -80,6 +80,16 @@ class TestRefine:
         with pytest.raises(ResolutionCapError):
             refine(GridSet.full(1024), 2**12)
 
+    @pytest.mark.parametrize("den", [7, 2**70 + 1])
+    def test_function(self, den):
+        f = GridFunction(3, (Fraction(1, den), Fraction(0), Fraction(den - 2, den)))
+        g = refine(f, 3)
+        assert g.values == tuple(v for v in f.values for _ in range(3))
+        nums, g_den = g.numerator_array()
+        assert (nums.tolist(), g_den) == GridFunction(9, g.values).numerators()
+        assert g.mean == f.mean
+        assert not nums.flags.writeable
+
 
 class TestDilations:
     def test_preimage_identity(self):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solfree.cyclic import CyclicFunction, CyclicSet, solution_measure_convolution
 from solfree.errors import SolfreeError
@@ -15,6 +17,7 @@ from solfree.torus import GridFunction, GridSet, solution_measure_grid
 from solfree.transfer import (
     FreimanMap,
     SpectralFunction,
+    _water_fill,
     build_product_set,
     centered_lift,
     find_iso_int_to_modn,
@@ -23,6 +26,7 @@ from solfree.transfer import (
     quantize_values,
     range_correct,
     regularize,
+    synthesize_cyclic,
     synthesize_grid,
     transfer_pipeline,
     transfer_spectrum,
@@ -30,6 +34,7 @@ from solfree.transfer import (
 )
 
 from oracles import verify_freiman_isomorphism as oracle_verify
+from oracles import water_fill_loop
 
 SUMFREE = LinearForm((1, 1, -1))
 
@@ -150,11 +155,77 @@ class TestFreimanMaps:
             assert oracle_verify(phi) is expected
 
     def test_cap_bounds_the_sums_formed(self):
-        phi = find_iso_int_to_modn({0, 1, 3, 7, 12}, 3, 101)
+        # integers on both sides: not a unit multiple, so enumerated
+        phi = FreimanMap({a: a for a in (0, 1, 3, 7, 12)}, None, None, k=3)
         # 5 sums at level 1, 5 * 5 at level 2, 15 distinct * 5 at level 3
         assert verify_freiman_isomorphism(phi, 3, cap=5 + 25 + 75)
         with pytest.raises(SolfreeError, match="more than 104 candidate sums"):
             verify_freiman_isomorphism(phi, 3, cap=104)
+
+    def test_pipeline_maps_need_no_enumeration(self):
+        # the search windows keep k * span below the modulus, so the
+        # criterion accepts these maps without forming a sum: cap 1 suffices
+        maps = [
+            find_iso_int_to_modn({-3, 0, 1, 5}, 3, 61),
+            find_iso_modp_to_int(101, {0, 1, 50, 100}, 2),
+            find_iso_modp_to_int(2003, [0, 7, 11, 1990, 1996], 3),
+        ]
+        for phi in maps:
+            assert verify_freiman_isomorphism(phi, cap=1)
+            assert oracle_verify(phi)
+
+    @pytest.mark.parametrize("direction", ["int_to_mod", "mod_to_int"])
+    def test_unit_multiple_criterion_matches_enumeration(self, direction):
+        rng = random.Random(17 if direction == "int_to_mod" else 18)
+        verdicts, wide = [], 0
+        for _ in range(300):
+            modulus = rng.choice([2, 5, 12, 31, 64, 97])
+            mu = rng.choice([u for u in range(1, modulus + 1) if math.gcd(u, modulus) == 1])
+            ints = [0] + rng.sample(range(-30, 31), rng.randint(1, 6))
+            if 0 in ints[1:]:
+                continue
+            # images or keys need not be reduced mod the modulus
+            residues = [0] + [mu * a % modulus + modulus * rng.randint(-1, 1) for a in ints[1:]]
+            if len(set(residues)) < len(residues):
+                continue
+            if direction == "int_to_mod":
+                pairs, src, dst = dict(zip(ints, residues)), None, modulus
+            else:
+                pairs, src, dst = dict(zip(residues, ints)), modulus, None
+            k = rng.randint(1, 4)
+            phi = FreimanMap(pairs, source_modulus=src, target_modulus=dst, k=k)
+            expected = oracle_verify(phi, k)
+            assert verify_freiman_isomorphism(phi, k) is expected, phi
+            verdicts.append(expected)
+            wide += k * (max(ints) - min(ints)) >= modulus
+        assert 30 < sum(verdicts) < len(verdicts) - 30, (sum(verdicts), len(verdicts))
+        assert wide > 100, wide
+
+    def test_other_maps_are_enumerated(self):
+        # a cap too small for enumeration shows which maps take that path
+        others = [
+            FreimanMap({0: 0, 1: 3, 5: 1}, None, 7, k=3),  # unit multiple, 3 * 5 >= 7
+            FreimanMap({0: 0, 1: 3, 5: 1}, None, None, k=3),  # integers both sides
+            FreimanMap({0: 0, 1: 3, 5: 1}, 11, 7, k=3),  # residues both sides
+            FreimanMap({0: 0, 1: 2, 3: 6}, None, 12, k=3),  # multiplier 2 is no unit
+            FreimanMap({0: 0, 2: 2, 4: 6}, None, 8, k=3),  # no element prime to 8
+            FreimanMap({0: 0, 1: 3, 5: 2}, None, 7, k=3),  # no common multiplier
+        ]
+        for phi in others:
+            with pytest.raises(SolfreeError, match="candidate sums"):
+                verify_freiman_isomorphism(phi, cap=2)
+            assert verify_freiman_isomorphism(phi) is oracle_verify(phi)
+
+    def test_unit_multiples_beyond_int64(self):
+        big = 2**70
+        spread = FreimanMap({0: 0, big: big, 2 * big + 1: 2 * big + 1}, None, 2**80, k=3)
+        assert verify_freiman_isomorphism(spread) is oracle_verify(spread) is True
+        lifted = FreimanMap({0: 0, 3: big, 6: 2 * big}, 2**72 + 1, None, k=2)
+        assert verify_freiman_isomorphism(lifted) is oracle_verify(lifted) is True
+        # k * span = 3 * 2^71 passes the modulus 2^72 + 1: enumerated
+        with pytest.raises(SolfreeError, match="candidate sums"):
+            verify_freiman_isomorphism(lifted, k=3, cap=2)
+        assert verify_freiman_isomorphism(lifted, k=3) is oracle_verify(lifted, 3)
 
     def test_modp_error_when_too_small(self):
         match = r"\|R\| = 7, p = 7, k = 3; .*height or max_support.*larger prime"
@@ -277,6 +348,136 @@ class TestRangeCorrect:
         assert out.mean == Fraction(2, 5)
         assert all(0 <= v <= 1 for v in out.values)
 
+
+def _replay(nums, den, target_total, wide=False):
+    """_water_fill on plain ints, or on the same values as Python ints
+    beyond int64 (object arrays) when `wide`."""
+    scale = 3**41 if wide else 1
+    dtype = object if wide else np.int64
+    array = np.array([a * scale for a in nums], dtype=dtype)
+    out, out_den, iterations, diffs, clipped = _water_fill(array, den * scale, target_total)
+    if wide:
+        assert out.dtype == object
+    return [Fraction(int(x), out_den) for x in out], iterations, clipped, diffs.tolist()
+
+
+def _loop(nums, den, target_total):
+    vals, iterations, clipped, diffs = water_fill_loop(
+        [Fraction(a, den) for a in nums], target_total
+    )
+    return vals, iterations, float(clipped), diffs
+
+
+@st.composite
+def _fill_cases(draw):
+    den = draw(st.one_of(st.sampled_from([1, 2, 3, 2**20]), st.integers(1, 2**20)))
+    n = draw(st.integers(1, 20))
+    nums = draw(st.lists(st.integers(-den, 2 * den), min_size=n, max_size=n))
+    own = Fraction(sum(min(max(a, 0), den) for a in nums), den)
+    kind = draw(st.sampled_from(["own", "edge", "near", "any"]))
+    if kind == "own":  # nothing to restore after clipping
+        total = own
+    elif kind == "edge":  # every cell must reach one bound: the fallback group
+        total = Fraction(draw(st.sampled_from([0, n])))
+    elif kind == "near":
+        total = min(max(own + draw(st.fractions(-1, 1, max_denominator=den)), 0), n)
+    else:
+        total = draw(st.fractions(0, 1, max_denominator=97)) * n
+    return nums, den, total, draw(st.booleans())
+
+
+class TestWaterFill:
+    """The replay in range_correct against the cell-by-cell loop."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_fill_cases())
+    def test_property_matches_loop(self, case):
+        nums, den, total, wide = case
+        assert _replay(nums, den, total, wide) == _loop(nums, den, total)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize(
+        "nums, den, total, iterations",
+        [
+            ([1, 2, 3], 4, Fraction(3, 2), 0),  # mean already right
+            ([-3, 1, 2, 7], 4, Fraction(2), 1),  # clipped, then spread upward
+            ([-3, 1, 2, 7], 4, Fraction(1), 2),  # clipped, then spread downward
+            ([0, 2, 0], 4, Fraction(3), 2),  # slack saturates; zeros form the group
+            ([4, 2, 4], 4, Fraction(0), 2),  # the mirror image
+            ([0, 0, 5], 5, Fraction(2), 1),  # no slack at all: group at once
+            ([1, 2, 4, 8, 12, 14, 15], 16, Fraction(27, 4), 4),  # saturation round by round
+            ([1, 2, 4, 8, 12, 14, 15], 16, Fraction(1, 4), 4),
+        ],
+    )
+    def test_regimes(self, nums, den, total, iterations, wide):
+        expected = _loop(nums, den, total)
+        assert expected[1] == iterations
+        assert _replay(nums, den, total, wide) == expected
+
+    @pytest.mark.parametrize("total", [Fraction(-1, 3), Fraction(7, 2)])
+    def test_no_room(self, total):
+        nums, den = [0, 1, 2], 2
+        with pytest.raises(ValueError, match="no room"):
+            water_fill_loop([Fraction(a, den) for a in nums], total)
+        with pytest.raises(SolfreeError, match="no room"):
+            _replay(nums, den, total)
+
+
+def _check_against_loop(out, report, values, target_total):
+    vals, iterations, clipped, diffs = water_fill_loop(values, target_total)
+    assert out.values == tuple(vals)
+    assert report.iterations == iterations
+    assert report.clipped_mass == float(clipped)
+    assert report.l2_distance == float(np.sqrt(np.mean(np.array(diffs) ** 2)))
+    assert report.linf_distance == max(abs(d) for d in diffs)
+    assert out.numerators() == type(out)(len(vals), tuple(vals)).numerators()
+    assert out.mean * len(vals) == target_total
+
+
+@st.composite
+def _spectra(draw):
+    carrier = draw(st.sampled_from([5, 7, 11, 31, TORUS]))
+    mean = draw(st.fractions(0, 1, max_denominator=60))
+    coeffs = {0: complex(float(mean))}
+    for g in draw(st.lists(st.integers(1, 6), max_size=3, unique=True)):
+        c = complex(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)))
+        if carrier is TORUS:
+            coeffs[g], coeffs[-g] = c, c.conjugate()
+        elif 2 * g < carrier:
+            coeffs[g], coeffs[carrier - g] = c, c.conjugate()
+    den = draw(st.sampled_from([1, 7, 2**10, 2**20]))
+    return SpectralFunction(carrier, coeffs, mean), den
+
+
+class TestRangeCorrectMatchesLoop:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_spectra())
+    def test_property_spectra_match_loop(self, case):
+        spec, den = case
+        if spec.carrier is TORUS:
+            out, report = range_correct(spec, sample_resolution=24, denominator=den)
+            raw, _ = synthesize_grid(spec, 24)
+        else:
+            out, report = range_correct(spec, denominator=den)
+            raw = synthesize_cyclic(spec)
+        values = quantize_values(raw, den)
+        _check_against_loop(out, report, values, spec.mean * len(values))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.lists(st.fractions(0, 1, max_denominator=50), min_size=1, max_size=12),
+        st.fractions(0, 1, max_denominator=50),
+        st.sampled_from([1, 2**64 + 13]),
+        st.sampled_from([CyclicFunction, GridFunction]),
+    )
+    def test_property_functions_match_loop(self, values, mean, scale, cls):
+        # scale > 1 puts numerators beyond int64 in: object arrays
+        values = [v * Fraction(scale - 1, scale) for v in values]
+        f = cls(len(values), tuple(values))
+        nums, den = f.numerators()
+        assert (f.numerator_array()[0].dtype == object) == (max(nums) >= 2**63)
+        out, report = range_correct(f, mean)
+        _check_against_loop(out, report, values, mean * len(values))
 
 class TestSynthesize:
     def test_grid_midpoints_and_bound(self):

@@ -39,6 +39,28 @@ def mask_bits(mask: int, size: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:size]
 
 
+def bits_mask(bits: np.ndarray) -> int:
+    """Inverse of `mask_bits`: the int whose bit x is set iff bits[x] != 0."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def members_mask(size: int, members: Iterable[int]) -> int:
+    """The mask with bit (x mod size) set for every x in `members`.
+
+    A 1-D numpy integer array is reduced in one vectorized step; any other
+    iterable element by element as int(x) % size.  The bits are scattered
+    into a 0/1 row and packed once, in O(size): OR-ing them into an int one
+    at a time would copy a size-bit int per member.
+    """
+    if isinstance(members, np.ndarray) and members.ndim == 1 and members.dtype.kind in "iu":
+        index = members % size
+    else:
+        index = [int(x) % size for x in members]
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[index] = 1
+    return bits_mask(bits)
+
+
 @dataclass(frozen=True)
 class CyclicSet:
     """Subset of Z/m stored as a bitmask (bit x set iff x is a member)."""
@@ -53,10 +75,8 @@ class CyclicSet:
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> "CyclicSet":
-        mask = 0
-        for x in members:
-            mask |= 1 << (int(x) % modulus)
-        return cls(modulus, mask)
+        validate_modulus(modulus)
+        return cls(modulus, members_mask(modulus, members))
 
     @classmethod
     def full(cls, modulus: int) -> "CyclicSet":
@@ -408,10 +428,43 @@ def u2_norm(f: FunctionLike) -> float:
     return float(np.sum(np.abs(spec.coefficients) ** 4) ** 0.25)
 
 
+def half_spectrum_weights(n: int) -> np.ndarray:
+    """How often each rfft bin k = 0..n//2 of a real length-n vector occurs
+    in its full spectrum: once at k = 0, once at the Nyquist bin k = n/2
+    when n is even, and twice elsewhere, since bin n - k mirrors bin k."""
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
+def u2_fourth_power_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] |rhat(k)|^4 over the half spectrum of each row r of a
+    real array (the last axis), with rhat = rfft(r) / n; one batched rfft
+    for all rows.
+
+    With `half_spectrum_weights(n)` this is sum_g |rhat(g)|^4 over all of
+    Z/n, the fourth power of the U^2 norm.
+    """
+    spectra = np.fft.rfft(rows, axis=-1)
+    power = spectra.real**2
+    power += spectra.imag**2
+    del spectra
+    power *= power
+    power *= weights
+    return power.sum(axis=-1) / float(rows.shape[-1]) ** 4
+
+
 def u2_norm_values(values: np.ndarray) -> float:
-    """U^2 norm of an arbitrary real vector on Z/m (no [0,1] restriction)."""
-    coeffs = np.fft.fft(np.asarray(values, dtype=float)) / len(values)
-    return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
+    """U^2 norm of an arbitrary real vector on Z/m (no [0,1] restriction).
+
+    Computed from the half spectrum: ||f||^4 = sum_k w_k |fhat(k)|^4 over
+    k = 0..m//2, with w_k = 1 at k = 0 and at k = m/2 for even m, and
+    w_k = 2 elsewhere (`half_spectrum_weights`).
+    """
+    values = np.asarray(values, dtype=float)
+    return float(u2_fourth_power_rows(values, half_spectrum_weights(len(values))) ** 0.25)
 
 
 def dilate_set(A: CyclicSet, n: int) -> CyclicSet:

@@ -15,6 +15,7 @@ all l2 factors at most 1 for [0,1]-valued arguments).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -24,14 +25,24 @@ import numpy as np
 from .cyclic import (
     CyclicFunction,
     CyclicSet,
+    bits_mask,
     dft,
+    half_spectrum_weights,
+    mask_bits,
     solution_measure_convolution,
     solution_measure_spectral,
+    u2_fourth_power_rows,
     u2_norm_values,
 )
 from .errors import SolfreeError
 from .forms import as_family, is_admissible
-from .torus import GridFunction, GridSet, solution_measure_grid, u2_norm_grid_values
+from .torus import (
+    GridFunction,
+    GridSet,
+    grid_u2_weights,
+    solution_measure_grid,
+    u2_norm_grid_values,
+)
 
 
 @dataclass
@@ -43,36 +54,59 @@ class RoundingResult:
     per_trial: list[float] = field(default_factory=list)
 
 
+_BLOCK = 5  # trials ranked per batched rfft: bounds the rows held at once
+
+
+def _index_arg(value, name: str) -> int:
+    if isinstance(value, bool):
+        raise SolfreeError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SolfreeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def round_to_set(
     f: Union[CyclicFunction, GridFunction], trials: int = 20, seed: int = 0
 ) -> RoundingResult:
     """Best-of-`trials` independent Bernoulli roundings of f, ranked by the
     U^2 distance ||f - 1_A||.  Deterministic for a fixed (f, trials, seed):
-    trial i uses the stream seeded by (seed, i).
+    trial i uses the stream seeded by (seed, i), and the first of several
+    equally distant trials is kept.
+
+    The trials are drawn and ranked in blocks of a few rows, with one
+    batched rfft per block (`u2_fourth_power_rows`), so an entry of
+    `per_trial` can differ in the last bit from `u2_norm_values` or
+    `u2_norm_grid_values` of the same row computed alone.
     """
+    trials = _index_arg(trials, "trials")
+    seed = _index_arg(seed, "seed")
     if trials < 1:
-        raise SolfreeError("need at least one trial")
+        raise SolfreeError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise SolfreeError(f"seed must be non-negative, got {seed}")
     if isinstance(f, CyclicFunction):
-        n = f.modulus
-        make = lambda bits: CyclicSet.from_members(n, np.flatnonzero(bits))
-        dist = u2_norm_values
+        n, make, weights = f.modulus, CyclicSet, half_spectrum_weights(f.modulus)
     elif isinstance(f, GridFunction):
-        n = f.resolution
-        make = lambda bits: GridSet.from_cells(n, np.flatnonzero(bits))
-        dist = u2_norm_grid_values
+        n, make, weights = f.resolution, GridSet, grid_u2_weights(f.resolution)
     else:
         raise SolfreeError(f"cannot round {type(f)!r}")
     probs = f.float_values()
     best_bits, best_dist, per_trial = None, None, []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        bits = rng.random(n) < probs
-        d = dist(probs - bits.astype(float))
-        per_trial.append(float(d))
-        if best_dist is None or d < best_dist:
-            best_bits, best_dist = bits, d
+    for start in range(0, trials, _BLOCK):
+        bits = np.stack(
+            [
+                np.random.default_rng([seed, trial]).random(n) < probs
+                for trial in range(start, min(start + _BLOCK, trials))
+            ]
+        )
+        dists = u2_fourth_power_rows(probs - bits, weights) ** 0.25
+        per_trial.extend(dists.tolist())
+        i = int(np.argmin(dists))
+        if best_dist is None or dists[i] < best_dist:
+            best_bits, best_dist = bits[i], dists[i]
     return RoundingResult(
-        best_set=make(best_bits),
+        best_set=make(n, bits_mask(best_bits)),
         u2_distance=float(best_dist),
         trials=trials,
         seed=seed,
@@ -116,15 +150,13 @@ def rounding_stability_report(
     if cyclic_case:
         if not isinstance(A, CyclicSet) or A.modulus != f.modulus:
             raise SolfreeError("set and function live on different groups")
-        diff = f.float_values() - np.array(A.indicator(), dtype=float)
-        u2 = u2_norm_values(diff)
+        u2 = u2_norm_values(f.float_values() - mask_bits(A.mask, A.modulus))
         mean_gap = abs(f.mean - A.density)
         carrier = f.modulus
     else:
         if not isinstance(A, GridSet) or A.resolution != f.resolution:
             raise SolfreeError("set and function live on different grids")
-        diff = f.float_values() - np.array(A.indicator(), dtype=float)
-        u2 = u2_norm_grid_values(diff)
+        u2 = u2_norm_grid_values(f.float_values() - mask_bits(A.mask, A.resolution))
         mean_gap = abs(f.mean - A.measure)
         carrier = None
 

@@ -35,9 +35,13 @@ from . import kernels
 from .cyclic import (
     CyclicSet,
     ExactValues,
+    bits_mask,
     dilated_vector,
+    half_spectrum_weights,
     mask_bits,
+    members_mask,
     solution_measure_convolution,
+    u2_fourth_power_rows,
 )
 from .errors import ResolutionCapError, SolfreeError
 from .forms import FormFamily, LinearForm, as_family
@@ -76,10 +80,9 @@ class GridSet:
     @classmethod
     def from_cells(cls, resolution: int, cells: Iterable[int]) -> "GridSet":
         """Cells given 0-indexed: cell b covers [b/N, (b+1)/N)."""
-        mask = 0
-        for b in cells:
-            mask |= 1 << (int(b) % resolution)
-        return cls(resolution, mask)
+        if resolution < 1:
+            raise SolfreeError("resolution must be positive")
+        return cls(resolution, members_mask(resolution, cells))
 
     @classmethod
     def from_interval(cls, resolution: int, lo: Fraction, hi: Fraction) -> "GridSet":
@@ -177,11 +180,7 @@ def refine(item: GridLike, factor: int):
     n = item.resolution
     _check_resolution(n * factor)
     if isinstance(item, GridSet):
-        mask = 0
-        block = (1 << factor) - 1
-        for b in item.cells():
-            mask |= block << (b * factor)
-        return GridSet(n * factor, mask)
+        return GridSet(n * factor, bits_mask(np.repeat(mask_bits(item.mask, n), factor)))
     nums, den = item.numerator_array()
     return GridFunction.from_numerators(n * factor, np.repeat(nums, factor), den)
 
@@ -461,7 +460,7 @@ def is_free_grid(forms, sets) -> tuple[bool, GridWitness | None]:
 
 
 def _find_grid_solution(form, refined, n):
-    vectors = [g.indicator() for g in refined]
+    vectors = [mask_bits(g.mask, n) for g in refined]
     dilated = [dilated_vector(vec, c, n) for c, vec in zip(form.coeffs, vectors)]
     # suffix convolutions for witness backtracking
     suffix = [None] * (form.t + 1)
@@ -535,6 +534,13 @@ def grid_fourier_coefficients(f: GridLike, ks) -> np.ndarray:
     return coeffs[ks % n] * np.exp(-1j * x) * sinc
 
 
+def grid_u2_weights(n: int) -> np.ndarray:
+    """Weights of the rfft bins k = 0..N//2 in the circle's U^2 sum: the
+    half-spectrum multiplicities times the lattice factor (2 + cos 2 pi k/N)/3."""
+    k = np.arange(n // 2 + 1)
+    return half_spectrum_weights(n) * ((2.0 + np.cos(2 * np.pi * k / n)) / 3.0)
+
+
 def u2_fourth_power_values(values, tol: float = 1e-9) -> float:
     """sum_{k in Z} |fhat(k)|^4 for a real step function (any real values).
 
@@ -544,16 +550,15 @@ def u2_fourth_power_values(values, tol: float = 1e-9) -> float:
         sum_{l in Z} (x + l)^(-4) = pi^4 (2 + cos 2 pi x) / (3 sin^4(pi x)),
 
     so no truncation error is incurred (well below any positive tol; the
-    parameter is kept for callers that budget an error explicitly).
+    parameter is kept for callers that budget an error explicitly).  The
+    classes j and N - j have equal terms, so the sum runs over the half
+    spectrum j = 0..N//2, each term weighted by the lattice factor and by 1
+    at j = 0 and at j = N/2 for even N, 2 elsewhere (`grid_u2_weights`).
     """
     if tol <= 0:
         raise SolfreeError("tol must be positive")
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    coeffs = np.fft.fft(values) / n
-    mag4 = np.abs(coeffs) ** 4
-    lattice = (2.0 + np.cos(2 * np.pi * np.arange(n) / n)) / 3.0
-    return float(np.sum(mag4 * lattice))
+    return float(u2_fourth_power_rows(values, grid_u2_weights(len(values))))
 
 
 def u2_fourth_power_truncated(values, cutoff: int) -> float:

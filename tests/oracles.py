@@ -1,13 +1,16 @@
 """Slow reference implementations that the fast paths are tested against.
 
-Each is a direct transcription of its definition in pure Python, with no
-numpy and no bound-dependent branches.
+Each is a direct transcription of its definition, with no bound-dependent
+branches.  Most are pure Python; the U^2 sums and the rounding loop keep
+the full-spectrum numpy form the half-spectrum paths replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+
+import numpy as np
 
 
 def convolve_cyclic(a, b):
@@ -137,3 +140,56 @@ def solution_measure(coeffs, value_lists, m):
                 term *= values[x]
             total += term
     return total / m ** (len(coeffs) - 1)
+
+
+def members_mask(size, members):
+    """Bitmask with bit (int(x) % size) set for each member, one OR at a time."""
+    mask = 0
+    for x in members:
+        mask |= 1 << (int(x) % size)
+    return mask
+
+
+def refine_mask(mask, size, factor):
+    """The mask of a grid set refined by `factor`: each cell becomes a block."""
+    out, block = 0, (1 << factor) - 1
+    for b in range(size):
+        if mask >> b & 1:
+            out |= block << (b * factor)
+    return out
+
+
+def u2_norm_values(values):
+    """U^2 norm on Z/m from the full complex spectrum: (sum_g |fhat(g)|^4)^(1/4)."""
+    coeffs = np.fft.fft(np.asarray(values, dtype=float)) / len(values)
+    return float(np.sum(np.abs(coeffs) ** 4) ** 0.25)
+
+
+def u2_fourth_power_values(values):
+    """sum_k |fhat(k)|^4 on the circle for a step function, from the full
+    spectrum times the lattice factor (2 + cos 2 pi j / N) / 3."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    coeffs = np.fft.fft(values) / n
+    lattice = (2.0 + np.cos(2 * np.pi * np.arange(n) / n)) / 3.0
+    return float(np.sum(np.abs(coeffs) ** 4 * lattice))
+
+
+def u2_norm_grid_values(values):
+    return u2_fourth_power_values(values) ** 0.25
+
+
+def round_loop(probs, trials, seed, distance):
+    """Best-of-trials rounding one trial at a time: trial t draws
+    default_rng([seed, t]).random(n) < probs, is scored by `distance` of
+    probs - bits, and the first strictly smallest score wins.
+
+    Returns (bits of the kept trial, list of scores)."""
+    best_bits, best, per_trial = None, None, []
+    for trial in range(trials):
+        bits = np.random.default_rng([seed, trial]).random(len(probs)) < probs
+        d = distance(probs - bits.astype(float))
+        per_trial.append(d)
+        if best is None or d < best:
+            best_bits, best = bits, d
+    return best_bits, per_trial

@@ -11,6 +11,7 @@ import pytest
 from solfree.cyclic import (
     CyclicFunction,
     CyclicSet,
+    bits_mask,
     dft,
     dilate_set,
     is_free,
@@ -22,8 +23,9 @@ from solfree.cyclic import (
 )
 from solfree.errors import SolfreeError
 from solfree.forms import LinearForm
-from solfree.torus import GridFunction, GridSet
+from solfree.torus import GridFunction, GridSet, refine
 
+import oracles
 from oracles import solution_measure, u2_norm_bruteforce
 
 
@@ -341,6 +343,52 @@ def test_set_bits_match_the_mask(size):
         assert A.indicator() == bits and A.members() == members
         G = GridSet(size, mask)
         assert G.indicator() == bits and G.cells() == members
+
+
+def test_bits_mask_inverts_mask_bits():
+    rng = random.Random("bits-inverse")
+    for size in range(1, 1001):
+        for mask in (0, (1 << size) - 1, rng.getrandbits(size), 1 << (size - 1)):
+            bits = CyclicSet(size, mask).indicator()
+            assert bits_mask(np.array(bits, dtype=np.uint8)) == mask
+            assert bits_mask(np.array(bits, dtype=bool)) == mask
+
+
+_MEMBER_CASES = [
+    [],
+    [0],
+    [-1, -12, -13, -26],  # negative: reduced mod m
+    [3, 3, 3, 16, 29],  # duplicates, also after reduction
+    [13, 26, 10**30, -(10**30)],  # out of range, beyond int64
+    [np.int64(-5), np.uint8(7), np.int32(40)],  # numpy integer scalars
+    np.array([-5, 0, 12, 13, 2**40, -(2**62)], dtype=np.int64),
+    np.array([1, 14, 2**63 + 3], dtype=np.uint64),
+    np.array([7, 8, 200], dtype=np.uint8),
+    range(-20, 40, 3),
+]
+
+
+@pytest.mark.parametrize("members", _MEMBER_CASES)
+@pytest.mark.parametrize("m", [1, 13, 64])
+def test_masks_from_members_match_the_or_loop(members, m):
+    want = oracles.members_mask(m, members)
+    assert CyclicSet.from_members(m, members).mask == want
+    assert GridSet.from_cells(m, members).mask == want
+    assert CyclicSet.from_members(m, (x for x in members)).mask == want
+    for factor in (1, 2, 3, 8):
+        refined = refine(GridSet(m, want), factor)
+        assert refined.mask == oracles.refine_mask(want, m, factor)
+        assert refined.resolution == m * factor
+
+
+def test_members_keep_the_int_meaning():
+    # floats and bools still mean int(x) % m, as before
+    assert CyclicSet.from_members(7, [2.9, -0.5, True]).members() == (0, 1, 2)
+    assert GridSet.from_cells(7, np.array([8.5, 1.0])).cells() == (1,)
+    with pytest.raises(ValueError):
+        CyclicSet.from_members(0, [1])
+    with pytest.raises(SolfreeError):
+        GridSet.from_cells(0, [1])
 
 
 @pytest.mark.parametrize("cls", [CyclicFunction, GridFunction])

@@ -6,14 +6,25 @@ A1, ..., At <= Z/m is
     T_L = #{(x1,...,xt) in A1 x ... x At : sum c_i x_i = 0 mod m} / m^(t-1),
 
 an exact rational.  The normalization matches the Haar measure of the
-kernel subgroup {x : L(x) = 0}, which has exactly m^(t-1) elements when
-gcd(c_t, m) = 1; measures are refused otherwise rather than silently
-renormalized.  The discrete Fourier transform carries the 1/m inside:
+kernel subgroup {x : L(x) = 0}, which has m^(t-1) * gcd(c1, ..., ct, m)
+elements; measures are refused unless gcd(c1, ..., ct, m) = 1 rather than
+silently renormalized.  The form is divided by its content first, which
+changes no count when the content is prime to m.  The last coefficient need
+not be invertible.  The discrete Fourier transform carries the 1/m inside:
 
     fhat(g) = (1/m) * sum_x f(x) exp(-2 pi i g x / m),
 
 so that T_L(f1,...,ft) = sum_g f1hat(c1 g) ... fthat(ct g) holds as a plain
 sum over frequencies whenever every gcd(c_i, m) = 1.
+
+One count serves every measure and freeness test, here and on the circle.
+With u_i the value vector of item i dilated by c_i, the cyclic convolution
+C = u_1 * ... * u_t has C(r) = sum of prod f_i(a_i) over the tuples with
+sum c_i a_i = r (mod m).  The Z/m measure reads C(0).  The circle measure
+(`torus.solution_measure_grid`) reads C(-w) for each integer w with the
+box-spline weight of w.  Freeness asks whether C, less the constant tuples
+when those are excluded, is non-zero at an allowed residue: 0 on Z/m, the
+attainable shifts on the circle.
 """
 
 from __future__ import annotations
@@ -22,14 +33,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import SolfreeError
-from .forms import FormFamily, LinearForm, as_family
+from .forms import LinearForm, as_family, content_reduce
 from .groups import validate_modulus
 
 
@@ -106,9 +116,6 @@ class CyclicSet:
     def indicator(self) -> list[int]:
         return mask_bits(self.mask, self.modulus).tolist()
 
-    def complement(self) -> "CyclicSet":
-        return CyclicSet(self.modulus, ~self.mask & ((1 << self.modulus) - 1))
-
     def union(self, other: "CyclicSet") -> "CyclicSet":
         self._check(other)
         return CyclicSet(self.modulus, self.mask | other.mask)
@@ -117,10 +124,14 @@ class CyclicSet:
         self._check(other)
         return CyclicSet(self.modulus, self.mask & ~other.mask)
 
+    def complement(self) -> "CyclicSet":
+        return CyclicSet(self.modulus, ~self.mask & ((1 << self.modulus) - 1))
+
     def shift(self, r: int) -> "CyclicSet":
-        """Translate: {x + r mod m}."""
-        m = self.modulus
-        return CyclicSet.from_members(m, ((x + r) % m for x in self.members()))
+        """Translate: {x + r mod m}, a rotation of the mask."""
+        m, r = self.modulus, r % self.modulus
+        rotated = (self.mask << r | self.mask >> (m - r)) & ((1 << m) - 1)
+        return CyclicSet(m, rotated)
 
     def _check(self, other):
         if self.modulus != other.modulus:
@@ -307,32 +318,20 @@ def _check_items(form: LinearForm, items) -> int:
     if len(items) != form.t:
         raise SolfreeError(f"form has {form.t} variables but {len(items)} inputs given")
     m = _common_modulus(items)
-    if math.gcd(abs(form.coeffs[-1]), m) != 1:
+    if math.gcd(*form.coeffs, m) != 1:
         raise SolfreeError(
-            f"last coefficient {form.coeffs[-1]} is not invertible mod {m}; "
-            "the kernel is not parametrized by the first t-1 coordinates"
+            f"coefficients {form.coeffs} share a factor with {m}; "
+            "the kernel of the form is not a subgroup of index m"
         )
     return m
 
 
-def solution_count_bruteforce(form: LinearForm, sets: Sequence[CyclicSet]) -> Fraction:
-    """Exact T_L by enumeration over the first t-1 coordinates.
-
-    Requires gcd(c_t, m) = 1 so the last coordinate is determined.
-    """
-    if any(not isinstance(s, CyclicSet) for s in sets):
-        raise SolfreeError("brute-force counting expects sets")
-    m = _check_items(form, sets)
-    *front, last_c = form.coeffs
-    inv = pow(last_c % m, -1, m)
-    count = 0
-    member_lists = [s.members() for s in sets[:-1]]
-    last = sets[-1]
-    for tup in product(*member_lists):
-        rhs = -sum(c * x for c, x in zip(front, tup)) % m
-        if (rhs * inv) % m in last:
-            count += 1
-    return Fraction(count, m ** (form.t - 1))
+def integer_vector(item, size: int) -> tuple[np.ndarray, int]:
+    """(numerators, denominator) of a function's values, or a set's 0/1
+    indicator of length `size` over 1; on Z/m or on the circle."""
+    if isinstance(item, ExactValues):
+        return item.numerator_array()
+    return mask_bits(item.mask, size), 1
 
 
 def dilated_vector(values, c: int, m: int) -> list[int]:
@@ -350,43 +349,87 @@ def dilated_vector(values, c: int, m: int) -> list[int]:
     return out.tolist()
 
 
+def _dilated_convolutions(coeffs, vectors, m: int, split: int):
+    """(left, suffix) for the vectors dilated by `coeffs` mod m: left is the
+    convolution of the first `split` (None for none), suffix[i] that of
+    those from i >= split on.  Every convolution has a dilated vector as
+    one operand."""
+    dilated = [dilated_vector(vec, c, m) for c, vec in zip(coeffs, vectors)]
+    left = None
+    for vec in dilated[:split]:
+        left = vec if left is None else kernels.convolve_cyclic(left, vec)
+    suffix = {len(dilated) - 1: dilated[-1]}
+    for i in range(len(dilated) - 2, split - 1, -1):
+        suffix[i] = kernels.convolve_cyclic(dilated[i], suffix[i + 1])
+    return left, suffix
+
+
+def _solution_counts(coeffs, vectors, m: int, residues) -> list[int]:
+    """C(r) for each r in `residues`, C the convolution of the vectors
+    dilated by `coeffs` mod m.
+
+    C is split as L * R, L the convolution of the first ceil(t/2) dilated
+    vectors and R of the others, so each C(r) = sum_z L(z) R(r - z) is one
+    dot product, and no kernel operand is itself a convolution for t <= 4.
+    """
+    half = (len(coeffs) + 1) // 2
+    left, suffix = _dilated_convolutions(coeffs, vectors, m, half)
+    right = suffix[half][:1] + suffix[half][:0:-1]  # R(-z) at index z
+    # np.roll by r: R(r - z) at index z
+    return [sum(map(operator.mul, left, right[m - r :] + right[: m - r])) for r in residues]
+
+
+def _first_solution(coeffs, vectors, m: int, residues, *, exclude_constant=False):
+    """(r, a) for the first r in `residues` reached as sum c_i a_i (mod m)
+    by a tuple a of members of the 0/1 vectors, with a the lexicographically
+    smallest such tuple; None if no residue is reached.
+
+    With `exclude_constant`, tuples (x, ..., x) are skipped: their count at
+    r is subtracted.  The tuple is built left to right from the suffix
+    convolutions, taking the smallest member that leaves a completion.
+    """
+    _, suffix = _dilated_convolutions(coeffs, vectors, m, 0)
+    common = np.flatnonzero(np.logical_and.reduce(vectors)).tolist() if exclude_constant else []
+    for r in residues:
+        constants = {x for x in common if (sum(coeffs) * x - r) % m == 0}
+        if suffix[0][r] <= len(constants):
+            continue
+        tup, remaining = [], r
+        for i, c in enumerate(coeffs):
+            for b in np.flatnonzero(vectors[i]).tolist():
+                rest = (remaining - c * b) % m
+                count = suffix[i + 1][rest] if i + 1 < len(coeffs) else int(rest == 0)
+                if b in constants and tup.count(b) == i:
+                    count -= 1  # (b, ..., b) is among the completions
+                if count > 0:
+                    tup.append(b)
+                    remaining = rest
+                    break
+            else:
+                raise AssertionError("witness backtracking failed")
+        return r, tuple(tup)
+    return None
+
+
 def solution_measure_convolution(
     form: LinearForm, items: Sequence[FunctionLike]
 ) -> Fraction:
     """Exact T_L via cyclic convolution of dilated value vectors.
 
-    Same value as :func:`solution_count_bruteforce`; accepts [0,1]-valued
-    functions as well as sets.  With u_i the vector of item i dilated by
-    c_i, the count is (u_1 * ... * u_t)(0) = sum_z L(z) R(-z), where L
-    convolves the first ceil(t/2) vectors and R the others.  So no
-    convolution has a convolution as an operand for t <= 4, and every
-    kernel operand is as narrow as one item's numerators.  Cost
+    Accepts [0,1]-valued functions as well as sets.  The form is divided by
+    its content, so the count reads C(0) for the primitive form; with
+    gcd(c1, ..., ct, m) = 1 that is the count for the form itself.  Cost
     O(t * m log m): t - 2 exact FFT convolutions and one dot product.
     """
     m = _check_items(form, items)
-    t = form.t
-    dilated = []
-    denominator = 1
-    for c, it in zip(form.coeffs, items):
-        if isinstance(it, CyclicSet):
-            vec = mask_bits(it.mask, m)
-        else:
-            vec, den = _as_function(it).numerator_array()
-            denominator *= den
-        dilated.append(dilated_vector(vec, c, m))
-    half = (t + 1) // 2
-    left = _convolve_all(dilated[:half])
-    right = _convolve_all(dilated[half:])
-    right = right[:1] + right[:0:-1]  # R(-z) at index z
-    total = sum(map(operator.mul, left, right))
-    return Fraction(total, denominator * m ** (t - 1))
-
-
-def _convolve_all(vectors: list[list[int]]) -> list[int]:
-    conv = vectors[0]
-    for vec in vectors[1:]:
-        conv = kernels.convolve_cyclic(conv, vec)
-    return conv
+    form, _ = content_reduce(form)
+    vectors, denominator = [], 1
+    for it in items:
+        vec, den = integer_vector(it if isinstance(it, CyclicSet) else _as_function(it), m)
+        vectors.append(vec)
+        denominator *= den
+    (total,) = _solution_counts(form.coeffs, vectors, m, [0])
+    return Fraction(total, denominator * m ** (form.t - 1))
 
 
 def dft(f: FunctionLike) -> CyclicSpectrum:
@@ -469,7 +512,9 @@ def u2_norm_values(values: np.ndarray) -> float:
 
 def dilate_set(A: CyclicSet, n: int) -> CyclicSet:
     """Image {n*a mod m}; a bijection when gcd(n, m) = 1."""
-    return CyclicSet.from_members(A.modulus, (n * a % A.modulus for a in A.members()))
+    m = A.modulus
+    members = np.flatnonzero(mask_bits(A.mask, m))
+    return CyclicSet.from_members(m, members * (n % m) % m)
 
 
 def is_free(
@@ -479,10 +524,13 @@ def is_free(
 
     `A` may be one set (solutions inside A^t) or a list of t sets per form
     (product solutions).  Returns (True, None) or (False, witness) where the
-    witness is (form, (x1, ..., xt)).  With ``exclude_constant=True``,
-    solutions with all coordinates equal are ignored: an off-label variant
-    used only for demonstrations with translation-invariant forms, which
-    admit no non-empty free set otherwise.
+    witness is (form, (x1, ..., xt)), the lexicographically smallest
+    solution.  No coefficient need be invertible, and the form is not
+    divided by its content: freeness is pointwise.  With
+    ``exclude_constant=True``, solutions with all coordinates equal are
+    ignored: an off-label variant used only for demonstrations with
+    translation-invariant forms, which admit no non-empty free set
+    otherwise.
     """
     family = as_family(forms)
     for form in family:
@@ -490,47 +538,8 @@ def is_free(
         if len(sets) != form.t:
             raise SolfreeError("one set per variable required")
         m = _common_modulus(sets)
-        witness = _find_solution(form, sets, m, exclude_constant)
-        if witness is not None:
-            return False, (form, witness)
+        vectors = [mask_bits(s.mask, m) for s in sets]
+        found = _first_solution(form.coeffs, vectors, m, [0], exclude_constant=exclude_constant)
+        if found is not None:
+            return False, (form, found[1])
     return True, None
-
-
-def _find_solution(form, sets, m, exclude_constant):
-    *front, last_c = form.coeffs
-    if math.gcd(abs(last_c), m) == 1:
-        inv = pow(last_c % m, -1, m)
-        last = sets[-1]
-        for tup in product(*[s.members() for s in sets[:-1]]):
-            x_t = (-sum(c * x for c, x in zip(front, tup)) * inv) % m
-            if x_t in last:
-                full = tup + (x_t,)
-                if exclude_constant and len(set(full)) == 1:
-                    continue
-                return full
-        return None
-    for tup in product(*[s.members() for s in sets]):
-        if sum(c * x for c, x in zip(form.coeffs, tup)) % m == 0:
-            if exclude_constant and len(set(tup)) == 1:
-                continue
-            return tup
-    return None
-
-
-def solution_tuples(form: LinearForm, m: int, *, exclude_constant: bool = False):
-    """All solution tuples of L(x) = 0 in (Z/m)^t (generator)."""
-    *front, last_c = form.coeffs
-    if math.gcd(abs(last_c), m) == 1:
-        inv = pow(last_c % m, -1, m)
-        for tup in product(range(m), repeat=form.t - 1):
-            x_t = (-sum(c * x for c, x in zip(front, tup)) * inv) % m
-            full = tup + (x_t,)
-            if exclude_constant and len(set(full)) == 1:
-                continue
-            yield full
-    else:
-        for tup in product(range(m), repeat=form.t):
-            if sum(c * x for c, x in zip(form.coeffs, tup)) % m == 0:
-                if exclude_constant and len(set(tup)) == 1:
-                    continue
-                yield tup

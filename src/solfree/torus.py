@@ -5,18 +5,29 @@ A grid set at resolution N is a union of half-open cells
 covers [b/N, (b+1)/N)), matching the residue b of Z/N under x -> floor(Nx).
 External serialization uses the 1-indexed convention.
 
-Exact solution measures reduce to cyclic convolution counts weighted by
-generalized Eulerian weights
+Exact solution measures reduce to one cyclic convolution count.  With
+x_i = (a_i + v_i)/N for a cell a_i and v_i in [0,1),
 
-    W(d, w) = Vol{ v in [0,1)^n : w <= sum d_i v_i < w + 1 },
+    T_L = N^(1-t) * sum_w rho_c(w) * C(-w mod N),
 
-computed by inclusion-exclusion over box corners in rational arithmetic.
-Pointwise freeness of grid sets is decided exactly: a cell tuple
-(a_1, ..., a_t) at resolution N contains a solution of sum c_i x_i = 0 (mod 1)
-iff sum c_i a_i = -w (mod N) for some integer w attainable as sum c_i v_i
-with v in [0,1)^t, i.e. strictly between the negative and positive
-coefficient sums, or w = 0 when all coefficients share one sign (the
-all-left-endpoints corner).
+where C is the convolution mod N of the cell vectors dilated by c_i, and
+rho_c(w) is the density at the integer w of sum c_i v_i for v uniform on
+[0,1)^t: a box spline (de Boor, Hollig and Riemenschneider, *Box Splines*,
+1993).  It is the mean of |c_t| consecutive generalized Eulerian weights
+
+    W(d, w) = Vol{ v in [0,1)^n : w <= sum d_i v_i < w + 1 }
+
+of d = (c_1, ..., c_{t-1}), computed by inclusion-exclusion over box
+corners in rational arithmetic.  A form with content g > 1 is measured as
+the primitive form L/g, whose kernel is one of the g components of the
+kernel of L.
+
+Pointwise freeness of grid sets is decided exactly, for the form as given,
+content included: a cell tuple (a_1, ..., a_t) at resolution N contains a
+solution of sum c_i x_i = 0 (mod 1) iff sum c_i a_i = -w (mod N) for some
+integer w attainable as sum c_i v_i with v in [0,1)^t, i.e. strictly
+between the negative and positive coefficient sums, or w = 0 when all
+coefficients share one sign (the all-left-endpoints corner).
 """
 
 from __future__ import annotations
@@ -31,20 +42,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .cyclic import (
-    CyclicSet,
     ExactValues,
+    _first_solution,
+    _solution_counts,
     bits_mask,
-    dilated_vector,
     half_spectrum_weights,
+    integer_vector,
     mask_bits,
     members_mask,
-    solution_measure_convolution,
     u2_fourth_power_rows,
 )
 from .errors import ResolutionCapError, SolfreeError
-from .forms import FormFamily, LinearForm, as_family
+from .forms import LinearForm, as_family, content_reduce
 
 DEFAULT_RESOLUTION_CAP = 2**18
 
@@ -136,10 +146,6 @@ class GridSet:
         a, b = common_resolution([self, other])
         return GridSet(a.resolution, a.mask & ~b.mask)
 
-    def residues(self) -> CyclicSet:
-        """The residue set A' <= Z/N with x in A' iff x/N in A."""
-        return CyclicSet(self.resolution, self.mask)
-
     def to_json(self) -> dict:
         return {"N": self.resolution, "cells": [b + 1 for b in self.cells()]}
 
@@ -157,6 +163,8 @@ class GridFunction(ExactValues):
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.resolution < 1:
+            raise SolfreeError(f"resolution must be positive, got {self.resolution}")
         self._init_values(self.resolution, "resolution")
 
     @classmethod
@@ -192,30 +200,6 @@ def common_resolution(items: Sequence[GridLike]) -> list:
     return [refine(it, target // it.resolution) for it in items]
 
 
-def dilation_preimage(A: GridSet, c: int) -> GridSet:
-    """{x : c x in A (mod 1)} at resolution N*|c|; measure is preserved.
-
-    For negative c the true preimage is a union of intervals half-open on
-    the left; the returned grid set agrees with it except at finitely many
-    cell-boundary points (exactly: up to the cell orientation flip), which
-    never affects measures.
-    """
-    if c == 0:
-        raise SolfreeError("dilation factor must be nonzero")
-    n = A.resolution
-    d = abs(c)
-    _check_resolution(n * d)
-    if c > 0:
-        source = A.cells()
-    else:
-        source = [(n - 1 - b) % n for b in A.cells()]  # reflection, cellwise
-    mask = 0
-    for b in source:
-        for j in range(d):
-            mask |= 1 << (b + j * n)
-    return GridSet(n * d, mask)
-
-
 def dilate_image(A: GridSet, c: int) -> GridSet:
     """Image c * A at resolution N: each cell maps onto |c| consecutive
     cells (an interval of length |c|/N, wrapped).
@@ -227,13 +211,11 @@ def dilate_image(A: GridSet, c: int) -> GridSet:
         raise SolfreeError("dilation factor must be nonzero")
     n = A.resolution
     d = abs(c)
-    out = set()
-    for b in A.cells():
-        start = d * b
-        for j in range(d):
-            cell = (start + j) % n
-            out.add(cell if c > 0 else (n - 1 - cell) % n)
-    return GridSet.from_cells(n, out)
+    starts = np.flatnonzero(mask_bits(A.mask, n)) * (d % n) % n
+    cells = (starts[:, None] + np.arange(min(d, n))) % n  # min(d, n) cells cover as many
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[cells if c > 0 else n - 1 - cells] = 1
+    return GridSet(n, bits_mask(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +284,8 @@ def eulerian_weight(coeffs: Sequence[int], w: int) -> Fraction:
 
 def eulerian_weight_table(coeffs: Sequence[int]) -> EulerianWeightTable:
     d = tuple(int(c) for c in coeffs)
+    if not d:
+        raise SolfreeError("coeffs must hold at least one coefficient")
     lo = sum(c for c in d if c < 0)
     hi = sum(c for c in d if c > 0)
     weights = {}
@@ -338,90 +322,42 @@ def attainable_shifts(coeffs: Sequence[int]) -> list[int]:
 # Solution measures
 
 
-def _integer_vector(item: GridLike) -> tuple[np.ndarray, int]:
-    """(numerators, denominator) of a step function; a set's indicator over 1."""
-    if isinstance(item, GridSet):
-        return mask_bits(item.mask, item.resolution).astype(np.int64), 1
-    return item.numerator_array()
+def _box_spline_weights(coeffs: Sequence[int], n: int) -> dict[int, Fraction]:
+    """r -> sum of rho_c(w) over the integers w with -w = r (mod n), for the
+    residues where it is positive; rho_c(w) is the mean of the |c_t|
+    Eulerian weights W(front, u) for u = w - 1, ..., w - c_t if c_t > 0,
+    and u = w, ..., w - c_t - 1 if c_t < 0."""
+    *front, last = coeffs
+    b = abs(last)
+    steps = range(1, b + 1) if last > 0 else range(1 - b, 1)  # w - u
+    weights = {}
+    for u, weight in eulerian_weight_table(tuple(front)).weights.items():
+        for j in steps:
+            weights[-(u + j) % n] = weights.get(-(u + j) % n, 0) + weight / b
+    return weights
 
 
 def solution_measure_grid(form: LinearForm, items: Sequence[GridLike]) -> Fraction:
     """Exact T_L(A_1, ..., A_t) on the circle for grid sets or step functions.
 
-    Parametrizing the kernel by the first t-1 coordinates y_i (with
-    x_i = c_t * y_i and x_t = -sum_{i<t} c_i y_i) turns the integral into
-    convolution counts of the dilation preimages B_i = (c_t)^{-1} A_i at a
-    common resolution, decomposed by the integer part of sum d_i v_i
-    (d_i = -c_i) on the unit box, whose level volumes are the generalized
-    Eulerian weights.  Every item is handled as its integer vector
-    (indicator, or numerators over one denominator), refined and pulled
-    back in numpy as :func:`refine` and :func:`dilation_preimage` do.
+    The form is divided by its content first (module docstring).  Every
+    item is refined to the common resolution N as its integer vector
+    (indicator, or numerators over one denominator); the measure is
+    N^(1-t) sum_w rho_c(w) C(-w mod N), one dot product per residue.
     """
     if len(items) != form.t:
         raise SolfreeError(f"form has {form.t} variables but {len(items)} inputs given")
-    c_t = form.coeffs[-1]
-    n = math.lcm(*[it.resolution for it in items])
-    _check_resolution(n)
-    d = abs(c_t)
-    n_prime = _check_resolution(n * d)
-    vectors, dens = [], []
+    form, _ = content_reduce(form)
+    n = _check_resolution(math.lcm(*[it.resolution for it in items]))
+    vectors, denominator = [], 1
     for it in items:
-        vec, den = _integer_vector(it)
+        vec, den = integer_vector(it, it.resolution)
         vectors.append(np.repeat(vec, n // it.resolution))
-        dens.append(den)
-    # preimages under x -> c_t x: cell b pulls back from cell b mod n, or
-    # from its reflection n - 1 - (b mod n) when c_t < 0
-    front = [np.tile(vec if c_t > 0 else vec[::-1], d) for vec in vectors[:-1]]
-    last = np.repeat(vectors[-1], d)
-    t = form.t
-    d_coeffs = tuple(-c for c in form.coeffs[:-1])
-    conv = None
-    for d_i, vec in zip(d_coeffs, front):
-        dil = dilated_vector(vec, d_i, n_prime)
-        conv = dil if conv is None else kernels.convolve_cyclic(conv, dil)
-    table = eulerian_weight_table(d_coeffs)
-    total = Fraction(0)
-    for w, weight in table.weights.items():
-        # sum_y conv[y] * last[(y + w) mod n']
-        shifted = sum(map(operator.mul, conv, np.roll(last, -w).tolist()))
-        if shifted:
-            total += weight * shifted
-    denominator = math.prod(dens) * Fraction(n_prime) ** (t - 1)
-    return total / denominator
-
-
-def ones_form(t: int) -> LinearForm:
-    """x_1 + ... + x_{t-1} - x_t."""
-    return LinearForm((1,) * (t - 1) + (-1,))
-
-
-def eulerian_identity_check(
-    t: int, sets: Sequence[GridSet]
-) -> tuple[Fraction, Fraction]:
-    """Two independent exact computations of T(A_1, ..., A_t) for the form
-    x_1 + ... + x_{t-1} - x_t on grid sets at a common resolution N:
-
-    - lhs: the circle measure via :func:`solution_measure_grid`;
-    - rhs: sum_r <t-1 r>/(t-1)! times the Z/N solution measure of
-      (A'_1, ..., A'_t - r), using the residue sets A'_i.
-
-    Returns (lhs, rhs) for exact equality assertions.
-    """
-    if t < 2:
-        raise SolfreeError("need t >= 2")
-    if len(sets) != t:
-        raise SolfreeError("one set per variable required")
-    form = ones_form(t)
-    refined = common_resolution(list(sets))
-    lhs = solution_measure_grid(form, refined)
-    n = refined[0].resolution
-    residues = [g.residues() for g in refined]
-    eulerian = classical_eulerian(t - 1)
-    rhs = Fraction(0)
-    for r in range(t - 1):
-        shifted = residues[:-1] + [residues[-1].shift(-r)]
-        rhs += eulerian[r] * solution_measure_convolution(form, shifted)
-    return lhs, rhs
+        denominator *= den
+    weights = _box_spline_weights(form.coeffs, n)
+    counts = _solution_counts(form.coeffs, vectors, n, list(weights))
+    total = sum(map(operator.mul, weights.values(), counts), Fraction(0))
+    return total / (denominator * n ** (form.t - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +379,10 @@ def is_free_grid(forms, sets) -> tuple[bool, GridWitness | None]:
 
     `sets` may be a single GridSet (diagonal solutions in A^t) or one set
     per variable.  Solutions inside products of half-open cells are decided
-    by the attainable-shift rule; the returned witness names the cell tuple
-    (1-indexed) at the common resolution.
+    by the attainable-shift rule; the returned witness names the
+    lexicographically smallest cell tuple (1-indexed) at the common
+    resolution, for the first attainable shift that has one.  The form is
+    not divided by its content: freeness is pointwise.
     """
     family = as_family(forms)
     for form in family:
@@ -453,52 +391,15 @@ def is_free_grid(forms, sets) -> tuple[bool, GridWitness | None]:
             raise SolfreeError("one set per variable required")
         refined = common_resolution(list(items))
         n = refined[0].resolution
-        witness = _find_grid_solution(form, refined, n)
-        if witness is not None:
-            return False, witness
+        vectors = [mask_bits(g.mask, n) for g in refined]
+        shifts = {}  # residue -> the smallest attainable shift w at it
+        for w in attainable_shifts(form.coeffs):
+            shifts.setdefault(-w % n, w)
+        found = _first_solution(form.coeffs, vectors, n, list(shifts))
+        if found is not None:
+            residue, cells = found
+            return False, GridWitness(form, n, tuple(b + 1 for b in cells), shifts[residue])
     return True, None
-
-
-def _find_grid_solution(form, refined, n):
-    vectors = [mask_bits(g.mask, n) for g in refined]
-    dilated = [dilated_vector(vec, c, n) for c, vec in zip(form.coeffs, vectors)]
-    # suffix convolutions for witness backtracking
-    suffix = [None] * (form.t + 1)
-    suffix[form.t] = None
-    acc = None
-    for i in range(form.t - 1, -1, -1):
-        acc = dilated[i] if acc is None else kernels.convolve_cyclic(dilated[i], acc)
-        suffix[i] = acc
-    total_by_residue = suffix[0]
-    for w in attainable_shifts(form.coeffs):
-        target = (-w) % n
-        if total_by_residue[target] == 0:
-            continue
-        cells = _backtrack_cells(form, refined, suffix, n, target)
-        return GridWitness(form, n, tuple(b + 1 for b in cells), w)
-    return None
-
-
-def _backtrack_cells(form, refined, suffix, n, target):
-    cells = []
-    remaining = target
-    for i in range(form.t):
-        c = form.coeffs[i]
-        nxt = suffix[i + 1]
-        for b in refined[i].cells():
-            rest = (remaining - c * b) % n
-            if nxt is None:
-                if rest == 0:
-                    cells.append(b)
-                    remaining = rest
-                    break
-            elif nxt[rest] > 0:
-                cells.append(b)
-                remaining = rest
-                break
-        else:
-            raise AssertionError("witness backtracking failed")
-    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +442,7 @@ def grid_u2_weights(n: int) -> np.ndarray:
     return half_spectrum_weights(n) * ((2.0 + np.cos(2 * np.pi * k / n)) / 3.0)
 
 
-def u2_fourth_power_values(values, tol: float = 1e-9) -> float:
+def u2_fourth_power_values(values) -> float:
     """sum_{k in Z} |fhat(k)|^4 for a real step function (any real values).
 
     The sum over a fixed frequency residue class j has the closed value
@@ -549,43 +450,22 @@ def u2_fourth_power_values(values, tol: float = 1e-9) -> float:
 
         sum_{l in Z} (x + l)^(-4) = pi^4 (2 + cos 2 pi x) / (3 sin^4(pi x)),
 
-    so no truncation error is incurred (well below any positive tol; the
-    parameter is kept for callers that budget an error explicitly).  The
-    classes j and N - j have equal terms, so the sum runs over the half
-    spectrum j = 0..N//2, each term weighted by the lattice factor and by 1
-    at j = 0 and at j = N/2 for even N, 2 elsewhere (`grid_u2_weights`).
+    so no truncation error is incurred.  The classes j and N - j have equal
+    terms, so the sum runs over the half spectrum j = 0..N//2, each term
+    weighted by the lattice factor and by 1 at j = 0 and at j = N/2 for
+    even N, 2 elsewhere (`grid_u2_weights`).
     """
-    if tol <= 0:
-        raise SolfreeError("tol must be positive")
     values = np.asarray(values, dtype=float)
     return float(u2_fourth_power_rows(values, grid_u2_weights(len(values))))
 
 
-def u2_fourth_power_truncated(values, cutoff: int) -> float:
-    """Reference path: explicit series over |k| <= cutoff.
-
-    The discarded tail is below 2 (N/pi)^4 max|D|^4 / (3 cutoff^3); used to
-    cross-check the closed-form lattice sum.
-    """
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    coeffs = np.fft.fft(values) / n
-    mag4 = np.abs(coeffs) ** 4
-    ks = np.arange(-cutoff, cutoff + 1)
-    x = np.pi * ks / n
-    sinc = np.ones_like(x)
-    nz = ks != 0
-    sinc[nz] = np.sin(x[nz]) / x[nz]
-    return float(np.sum(mag4[ks % n] * sinc**4))
-
-
-def u2_norm_grid(f: GridLike, tol: float = 1e-9) -> float:
+def u2_norm_grid(f: GridLike) -> float:
     """U^2 norm on the circle of a step function: (sum_k |fhat(k)|^4)^(1/4)."""
     if isinstance(f, GridSet):
         f = GridFunction.from_set(f)
-    return u2_fourth_power_values(f.float_values(), tol) ** 0.25
+    return u2_fourth_power_values(f.float_values()) ** 0.25
 
 
-def u2_norm_grid_values(values, tol: float = 1e-9) -> float:
+def u2_norm_grid_values(values) -> float:
     """U^2 norm of an arbitrary real step function (no [0,1] restriction)."""
-    return u2_fourth_power_values(values, tol) ** 0.25
+    return u2_fourth_power_values(values) ** 0.25

@@ -695,6 +695,10 @@ def _water_fill(a: np.ndarray, den: int, target_total: Fraction):
 
 @dataclass
 class PipelineReport:
+    """What `transfer_pipeline` produced.  `lam` is phi(1), the image of 1
+    under the Freiman map, or None when 1 is not in the map's domain and
+    always on the way to Z/p; it is not the dilation the search chose."""
+
     alpha: Fraction
     support_size: int
     lam: Optional[int]

@@ -7,6 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solfree.cyclic import (
     CyclicFunction,
@@ -16,7 +18,6 @@ from solfree.cyclic import (
     dilate_set,
     is_free,
     l2_norm,
-    solution_count_bruteforce,
     solution_measure_convolution,
     solution_measure_spectral,
     u2_norm,
@@ -26,7 +27,7 @@ from solfree.forms import LinearForm
 from solfree.torus import GridFunction, GridSet, refine
 
 import oracles
-from oracles import solution_measure, u2_norm_bruteforce
+from oracles import solution_count_bruteforce, solution_measure, u2_norm_bruteforce
 
 
 def full_enumeration_count(form, sets):
@@ -133,6 +134,87 @@ def test_measure_of_wide_functions(coeffs, m):
     form = LinearForm(coeffs)
     expected = solution_measure(coeffs, [f.values for f in functions], m)
     assert solution_measure_convolution(form, functions) == expected
+
+
+_COEFFS = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _zm_cases(draw, functions=True):
+    """A form with t = 2..4 and sets, or with `functions` also k/4
+    functions, on Z/m, m = 1..10."""
+    m = draw(st.integers(1, 10))
+    coeffs = tuple(draw(st.lists(_COEFFS, min_size=2, max_size=4)))
+    items = []
+    for _ in coeffs:
+        bits = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        if not functions or draw(st.booleans()):
+            items.append(CyclicSet.from_members(m, [x for x in range(m) if bits[x]]))
+        else:
+            nums = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+            items.append(CyclicFunction.from_numerators(m, nums, 4))
+    return LinearForm(coeffs), items
+
+
+def _values(item):
+    return CyclicFunction.from_set(item).values if isinstance(item, CyclicSet) else item.values
+
+
+class TestOneConvolutionCount:
+    """The Z/m measure and freeness against enumeration."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_zm_cases())
+    def test_measure_matches_brute_force(self, case):
+        form, items = case
+        m = items[0].modulus
+        expected = solution_measure(form.coeffs, [_values(it) for it in items], m)
+        if math.gcd(*form.coeffs, m) == 1:
+            assert solution_measure_convolution(form, items) == expected
+        else:
+            # the kernel is gcd(c, m) times too large: the refusal is right
+            full = solution_measure(form.coeffs, [[1] * m] * form.t, m)
+            assert full == math.gcd(*form.coeffs, m)
+            with pytest.raises(SolfreeError, match="share a factor"):
+                solution_measure_convolution(form, items)
+
+    @pytest.mark.parametrize(
+        "coeffs, m",
+        [((1, 1, -2), 4), ((3, 1, 6), 9), ((2, 2, 3, 6), 12), ((1, 4), 8), ((5, 5, 10, 1), 10)],
+    )
+    def test_noninvertible_last_coefficient(self, coeffs, m):
+        # gcd(c_t, m) > 1 but the content is prime to m
+        rng = random.Random(f"{coeffs}-{m}")
+        for _ in range(6):
+            sets = [
+                CyclicSet.from_members(m, [x for x in range(m) if rng.random() < 0.5])
+                for _ in coeffs
+            ]
+            assert solution_measure_convolution(LinearForm(coeffs), sets) == solution_measure(
+                coeffs, [_values(s) for s in sets], m
+            )
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_zm_cases(functions=False), st.booleans())
+    def test_is_free_matches_enumeration(self, case, exclude_constant):
+        form, sets = case
+        m = sets[0].modulus
+        want = oracles.first_solution_enumerated(form, sets, m, exclude_constant)
+        ok, witness = is_free(form, sets, exclude_constant=exclude_constant)
+        assert ok == (want is None)
+        if want is not None:
+            got_form, tup = witness
+            assert got_form == form and tup == want
+            assert all(x in s for x, s in zip(tup, sets))
+            assert sum(c * x for c, x in zip(form.coeffs, tup)) % m == 0
+            assert not (exclude_constant and len(set(tup)) == 1)
+
+    def test_content_is_kept_for_freeness(self):
+        # {3, 4} is sum-free mod 9, but 3x + 3y = 3z has the solution (3, 3, 3)
+        A = CyclicSet.from_members(9, [3, 4])
+        ok, (form, tup) = is_free([SUMFREE, LinearForm((3, 3, -3))], A)
+        assert not ok and form == LinearForm((3, 3, -3)) and tup == (3, 3, 3)
+        assert is_free(SUMFREE, A) == (True, None)
 
 
 class TestFromNumerators:
@@ -331,6 +413,17 @@ class TestDilate:
             A = CyclicSet.from_members(m, [x for x in range(m) if rng.random() < 0.3])
             lam = rng.randrange(1, m)
             assert is_free(SUMFREE, A)[0] == is_free(SUMFREE, dilate_set(A, lam))[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 13, 64, 100])
+def test_shift_and_dilate_match_the_or_loop(m):
+    rng = random.Random(f"shift-{m}")
+    for members in ([], [0], list(range(m)), [x for x in range(m) if rng.random() < 0.4]):
+        A = CyclicSet.from_members(m, members)
+        for r in (0, 1, -1, 5, -7, m, -m, 3 * m + 2, -(10**20) - 3):
+            assert A.shift(r) == oracles.shift_set(A, r)
+        for n in (0, 1, -1, 2, 3, -5, m, -m, 2 * m + 1, 10**20):
+            assert dilate_set(A, n) == oracles.dilate_set(A, n)
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 64, 65, 1000])

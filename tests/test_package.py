@@ -1,6 +1,8 @@
-"""The package metadata in pyproject.toml names only things that exist."""
+"""The package metadata in pyproject.toml names only things that exist, and
+the benchmark's tracer still finds the functions it wraps."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -47,3 +49,41 @@ sys.exit(sum(ref() is not None for ref in refs))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert done.returncode == 0, f"{done.returncode} old classes still alive"
+
+
+def _fresh_solfree():
+    for name in [n for n in sys.modules if n == "solfree" or n.startswith("solfree.")]:
+        del sys.modules[name]
+    for name in ("cyclic", "torus", "transfer", "rounding"):
+        importlib.import_module("solfree." + name)
+    return sys.modules["solfree"]
+
+
+def test_tracer_sees_the_counting_layers():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    saved = {n: m for n, m in sys.modules.items() if n == "solfree" or n.startswith("solfree.")}
+    tracer = tracer_module.Tracer()
+    try:
+        sf = _fresh_solfree()
+        tracer.install(tracer_module.solfree_modules(), tracer_module.layer_table(sf))
+        form = sf.LinearForm((1, 1, -1))
+        A = sf.cyclic.CyclicSet.from_members(7, [1, 2, 4])
+        G = sf.torus.GridSet.from_cells(6, [1, 2, 4])
+        sf.cyclic.solution_measure_convolution(form, [A] * 3)
+        sf.torus.solution_measure_grid(form, [G] * 3)
+        sf.torus.is_free_grid(form, G)
+    finally:
+        tracer.restore()
+        for name in [n for n in sys.modules if n == "solfree" or n.startswith("solfree.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    for span in (
+        "kernels.convolve",
+        "cyclic.measure_conv",
+        "torus.measure_grid",
+        "torus.eulerian_table",
+        "torus.is_free_grid",
+    ):
+        assert tracer.calls[span] > 0, span

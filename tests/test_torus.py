@@ -1,11 +1,14 @@
 """Tests for exact grid-set computations on the circle."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solfree.errors import ResolutionCapError, SolfreeError
 from solfree.forms import LinearForm
@@ -16,19 +19,23 @@ from solfree.torus import (
     classical_eulerian,
     common_resolution,
     dilate_image,
-    dilation_preimage,
-    eulerian_identity_check,
     eulerian_weight,
     eulerian_weight_table,
     grid_fourier_coefficients,
     is_free_grid,
     l2_norm_grid,
-    ones_form,
     refine,
     solution_measure_grid,
-    u2_fourth_power_truncated,
     u2_fourth_power_values,
     u2_norm_grid,
+)
+
+import oracles
+from oracles import (
+    dilation_preimage,
+    eulerian_identity_check,
+    ones_form,
+    u2_fourth_power_truncated,
 )
 
 SUMFREE = LinearForm((1, 1, -1))
@@ -132,6 +139,14 @@ class TestDilations:
 
     def test_image_full(self):
         assert dilate_image(GridSet.full(5), 3) == GridSet.full(5)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 31])
+    def test_image_matches_the_cell_loop(self, n):
+        rng = random.Random(f"image-{n}")
+        sets = [GridSet.empty(n), GridSet.full(n)] + [random_grid_set(rng, n) for _ in range(2)]
+        for A in sets:
+            for c in (1, -1, 2, -2, 3, -3, n, -n):
+                assert dilate_image(A, c) == oracles.dilate_image(A, c)
 
 
 class TestEulerianWeights:
@@ -282,6 +297,56 @@ class TestSolutionMeasureGrid:
         assert solution_measure_grid(SUMFREE, [A, B, C]) == Fraction(1, 8)
 
 
+_COEFFS = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _grid_items(draw, t, functions, largest):
+    """t grid sets, or with `functions` also k/8 step functions, each at a
+    divisor of a common resolution 1..largest."""
+    common = draw(st.integers(1, largest))
+    items = []
+    for _ in range(t):
+        n = draw(st.sampled_from([d for d in range(1, common + 1) if common % d == 0]))
+        if not functions or draw(st.booleans()):
+            bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            items.append(GridSet.from_cells(n, [b for b in range(n) if bits[b]]))
+        else:
+            nums = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+            items.append(GridFunction.from_numerators(n, nums, 8))
+    return items
+
+
+@st.composite
+def _grid_cases(draw, functions=True, largest=12):
+    coeffs = draw(st.lists(_COEFFS, min_size=2, max_size=4))
+    content = draw(st.sampled_from([1, 1, 2, 3]))
+    form = LinearForm(tuple(content * c for c in coeffs))
+    return form, draw(_grid_items(form.t, functions, largest))
+
+
+class TestBoxSplineMeasure:
+    """The box-spline read against the parametrization it replaced."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_grid_cases())
+    def test_matches_the_parametrized_measure(self, case):
+        form, items = case
+        assert solution_measure_grid(form, items) == oracles.solution_measure_grid(form, items)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_grid_cases(), st.integers(2, 4))
+    def test_content_is_divided_out(self, case, g):
+        form, items = case
+        multiple = LinearForm(tuple(g * c for c in form.coeffs))
+        assert solution_measure_grid(multiple, items) == solution_measure_grid(form, items)
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, -1), (2, 3, -2, -3), (1, -4), (3, 5), (1, 2, 3, 4)])
+    def test_weights_are_a_density(self, coeffs):
+        # the full group: every cell tuple counts, so the weights sum to 1
+        assert solution_measure_grid(LinearForm(coeffs), [GridSet.full(5)] * len(coeffs)) == 1
+
+
 class TestEulerianIdentity:
     def test_middle_third(self):
         A = GridSet.from_interval(3, Fraction(1, 3), Fraction(2, 3))
@@ -373,6 +438,40 @@ class TestIsFreeGrid:
             ) % n2 == 0
 
 
+def _first_cell_solution(form, sets):
+    """(w, cells): the first attainable shift w, in increasing order, for
+    which some cell tuple solves sum c_i a_i = -w (mod N), and the first
+    such tuple in lexicographic order; by enumeration."""
+    refined = common_resolution(list(sets))
+    n = refined[0].resolution
+    first = {}  # residue -> the first cell tuple in lexicographic order
+    for cells in itertools.product(*[g.cells() for g in refined]):
+        first.setdefault(sum(c * a for c, a in zip(form.coeffs, cells)) % n, cells)
+    for w in attainable_shifts(form.coeffs):
+        if -w % n in first:
+            return w, first[-w % n]
+    return None
+
+
+class TestIsFreeGridMatchesEnumeration:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_grid_cases(functions=False, largest=8))
+    def test_verdict_and_witness(self, case):
+        form, sets = case
+        ok, witness = is_free_grid(form, sets)
+        want = _first_cell_solution(form, sets)
+        assert ok == (want is None)
+        if want is not None:
+            n = witness.resolution
+            cells = tuple(b - 1 for b in witness.cells)
+            assert (witness.shift, cells) == want
+            assert n == math.lcm(*[s.resolution for s in sets])
+            assert (sum(c * a for c, a in zip(form.coeffs, cells)) + witness.shift) % n == 0
+            assert witness.shift in attainable_shifts(form.coeffs)
+            for s, a in zip(sets, cells):  # each witness cell lies in its set
+                assert Fraction(a, n) in s
+
+
 class TestU2Grid:
     def test_constant(self):
         f = GridFunction.constant(5, Fraction(2, 7))
@@ -399,6 +498,19 @@ class TestU2Grid:
                 n, tuple(Fraction(rng.randrange(0, 101), 100) for _ in range(n))
             )
             assert u2_norm_grid(f) <= l2_norm_grid(f) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: eulerian_weight_table(()), "coeffs"),
+        (lambda: GridFunction(0, ()), "resolution"),
+    ],
+    ids=["empty-weight-table", "zero-resolution-function"],
+)
+def test_bad_arguments_name_the_argument(call, fragment):
+    with pytest.raises(SolfreeError, match=fragment):
+        call()
 
 
 def test_grid_fourier_coefficients():
